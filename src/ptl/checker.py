@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import LengthMismatch, PtlError
+from .errors import LengthMismatch, PtlError, UnknownState
 from .evaluator import (
     _ground_action,
     describe,
@@ -25,7 +25,7 @@ from .evaluator import (
     truth,
 )
 from .model import Model, successors
-from .syntax import App, Box, Expr, Lam, QTrace, Sym, Symbol, conj
+from .syntax import App, Box, Expr, Lam, Q, Sym, Symbol, conj
 from .values import BoolV, GroundAction, RatV, StateV, render_rational, render_value
 
 SATISFIED = "satisfied"
@@ -87,6 +87,8 @@ def _error_report(exc: PtlError) -> CheckReport:
 def satisfies(model: Model, state: str, formula: Expr) -> CheckReport:
     """Truth of a formula at one state. Numeric comparisons get the value
     of their probability side recorded; violations get a witness trail."""
+    if state not in model.states:
+        return _error_report(UnknownState(f"unknown state {state}"))
     try:
         value = evaluate(model, state, formula)
     except PtlError as exc:
@@ -135,9 +137,7 @@ def _attach_numeric(report: CheckReport, model: Model, state: str, formula: Expr
 
 def _mentions_q(e: Expr) -> bool:
     match e:
-        case QTrace():
-            return True
-        case Sym(Symbol(_, _, "prob")):
+        case Q():
             return True
         case App(fn, arg):
             return _mentions_q(fn) or _mentions_q(arg)

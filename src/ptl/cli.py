@@ -2,8 +2,10 @@
 
 Subcommands: validate, eval, check, entail, independent, translate,
 adequacy, corpus. Exit codes: 0 satisfied/valid, 1 violated (with a
-counterexample when one exists), 2 usage/parse/type/model errors, 3
-evaluation errors. All numbers print as exact rationals; --decimal adds
+counterexample when one exists), 2 usage/parse/type/model errors (input
+files that are not UTF-8 and input nested too deeply included), 3
+evaluation errors, 4 internal errors; past argument parsing, every error
+is one stderr line. All numbers print as exact rationals; --decimal adds
 an approximate value as a trailing comment, never replacing the exact
 one. Identical inputs produce byte-identical output.
 """
@@ -50,13 +52,25 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_EVAL = 3
+EXIT_INTERNAL = 4
 
 
 # ---------- loading helpers ----------
 
 
+def _read(path) -> str:
+    """A file's text, decoded as UTF-8; other bytes are a usage error
+    that names the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _load_model(path: str) -> Model:
-    return validate_model(parse_model(Path(path).read_text(), source=path))
+    return validate_model(parse_model(_read(Path(path)), source=path))
 
 
 def _load_formulas(ref: str) -> list[tuple[str, Expr]]:
@@ -64,12 +78,12 @@ def _load_formulas(ref: str) -> list[tuple[str, Expr]]:
     order), or `file.ptl#name` for one definition."""
     if "#" in ref:
         path, _, frag = ref.partition("#")
-        defs = parse_formula_file(Path(path).read_text(), source=path)
+        defs = parse_formula_file(_read(Path(path)), source=path)
         if frag not in defs:
             raise ParseError(f"{path} has no definition named '{frag}'")
         return [(frag, defs[frag])]
     if ref.endswith(".ptl") and Path(ref).exists():
-        defs = parse_formula_file(Path(ref).read_text(), source=ref)
+        defs = parse_formula_file(_read(Path(ref)), source=ref)
         return list(defs.items())
     return [("formula", parse(ref, source="<arg>"))]
 
@@ -285,7 +299,7 @@ def cmd_check(args) -> int:
 
 def cmd_entail(args) -> int:
     models = [_load_model(path) for path in args.model]
-    theory_defs = parse_formula_file(Path(args.theory).read_text(), source=args.theory)
+    theory_defs = parse_formula_file(_read(Path(args.theory)), source=args.theory)
     theory = Theory(Path(args.theory).stem, theory_defs)
     conclusion = _load_one_formula(args.conclusion, "--conclusion")
     for model in models:
@@ -310,7 +324,7 @@ def cmd_independent(args) -> int:
     b = _parse_ground_action(args.action_b, model)
     props = None
     if args.props:
-        defs = parse_formula_file(Path(args.props).read_text(), source=args.props)
+        defs = parse_formula_file(_read(Path(args.props)), source=args.props)
         for name, expr in defs.items():
             _typecheck(model, name, expr)
         props = list(defs.values())
@@ -325,7 +339,7 @@ def cmd_independent(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    space = parse_space(Path(args.space).read_text(), source=args.space)
+    space = parse_space(_read(Path(args.space)), source=args.space)
     model = translate_space(space)
     text = serialize_model(model)
     if args.output:
@@ -337,7 +351,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_adequacy(args) -> int:
-    space = parse_space(Path(args.space).read_text(), source=args.space)
+    space = parse_space(_read(Path(args.space)), source=args.space)
     report = check_adequacy(space, depth=args.depth, max_events=args.max_events)
     if args.json:
         _emit_json(report.to_dict())
@@ -366,7 +380,7 @@ def cmd_corpus(args) -> int:
     root = _corpus_root(args.dir)
     manifest = root.joinpath("manifest.txt")
     try:
-        text = manifest.read_text()
+        text = _read(manifest)
     except (FileNotFoundError, OSError):
         print("no fixtures", file=sys.stderr)
         return EXIT_USAGE
@@ -413,7 +427,7 @@ def _run_row(root, models, formulas, model_file, formula_ref, state_field, expec
     try:
         if model_file not in models:
             models[model_file] = validate_model(
-                parse_model(root.joinpath(model_file).read_text(), source=model_file)
+                parse_model(_read(root.joinpath(model_file)), source=model_file)
             )
         model = models[model_file]
         path, _, frag = formula_ref.partition("#")
@@ -421,7 +435,7 @@ def _run_row(root, models, formulas, model_file, formula_ref, state_field, expec
             raise ParseError(f"formula reference '{formula_ref}' needs file.ptl#name")
         if path not in formulas:
             formulas[path] = parse_formula_file(
-                root.joinpath(path).read_text(), source=path
+                _read(root.joinpath(path)), source=path
             )
         if frag not in formulas[path]:
             raise ParseError(f"{path} has no definition named '{frag}'")
@@ -540,6 +554,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ are interpreted, so a function value keeps denoting the same function even
 if it flows across a modality.
 
 The probability operator and @ are intensional: their proposition argument
-is re-evaluated at other states, so both are handled as special forms on the
-application spine and must be fully applied. All arithmetic is exact; no
-floats anywhere.
+is re-evaluated at other states. Q is its own node; @ is a special form on
+the application spine and must be fully applied. All arithmetic is exact;
+no floats anywhere.
 
 Connectives evaluate both operands (no short-circuiting): a disabled action
 inside a probability query is a modeling mistake and should surface as a
@@ -18,6 +18,7 @@ DisabledAction error, not be masked by operand order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -39,7 +40,7 @@ from .syntax import (
     DiamondAnn,
     Expr,
     Lam,
-    QTrace,
+    Q,
     RatLit,
     Sym,
     Symbol,
@@ -93,8 +94,8 @@ def evaluate(model: Model, state: str, expr: Expr, env: Env | None = None) -> Va
             return BoolV(
                 any(rho == p and _truth(model, w, body, env) for w, rho in succ)
             )
-        case QTrace(actions, props):
-            return RatV(eval_q_trace(model, state, list(actions), list(props), env))
+        case Q(actions, props):
+            return RatV(_q(model, state, actions, props, env))
         case App():
             return _apply_expr(model, state, expr, env)
     raise EvalError(f"cannot evaluate {type(expr).__name__}; desugar first")
@@ -104,15 +105,13 @@ def _apply_expr(model: Model, state: str, expr: App, env: Env) -> Value:
     # intensional special forms first: their proposition argument is
     # evaluated at other states, not here
     match expr:
-        case App(App(Sym(Symbol("Q", _, "prob")), list_e), prop):
-            return RatV(_q_over_list(model, state, list_e, prop, env))
         case App(App(Sym(Symbol("@", _, "hybrid")), state_e), body):
             v = evaluate(model, state, state_e, env)
             if not isinstance(v, StateV):
                 raise EvalError(f"@ needs a state, got {render_value(v)}")
             return evaluate(model, v.name, body, env)
-        case App(Sym(Symbol(("Q" | "@") as name, _, ("prob" | "hybrid"))), _):
-            raise EvalError(f"'{name}' must be fully applied")
+        case App(Sym(Symbol("@", _, "hybrid")), _):
+            raise EvalError("'@' must be fully applied")
     fn = evaluate(model, state, expr.fn, env)
     arg = evaluate(model, state, expr.arg, env)
     return apply_value(model, fn, arg)
@@ -165,16 +164,7 @@ def eval_q(
     no transitions at the state it is taken from raises DisabledAction;
     silently treating it as probability 0 would mask modeling mistakes.
     """
-    env = env or {}
-    if not actions:
-        return Fraction(int(_truth(model, state, prop, env)))
-    head, rest = actions[0], actions[1:]
-    succ = model.frame.successors(state, head)
-    if not succ:
-        raise DisabledAction(state, head)
-    return sum(
-        rho * eval_q(model, w, rest, prop, env) for w, rho in succ
-    )
+    return _q(model, state, actions, (prop,), env)
 
 
 def eval_q_trace(
@@ -186,50 +176,48 @@ def eval_q_trace(
 ) -> Fraction:
     """Trace probability: the chance that each proposition holds right
     after its own action. Base case: the empty trace has probability 1."""
-    env = env or {}
-    if len(actions) != len(props):
+    return _q(model, state, actions, props, env, trace=True)
+
+
+def _q(
+    model: Model,
+    state: str,
+    actions: Sequence[Expr | GroundAction],
+    props: Sequence[Expr],
+    env: Env | None,
+    trace: bool = False,
+) -> Fraction:
+    """The one Q kernel: a depth-first walk over the paths of the action
+    word in declaration order. Each action is grounded at the state where
+    it is taken, and the propositions are tested where `syntax.Q` lines
+    them up, so prop j is tested after `first + j` actions. `trace`
+    demands one proposition per action."""
+    if len(props) != len(actions) and (trace or len(props) != 1):
         raise LengthMismatch(
             f"{len(actions)} actions but {len(props)} propositions"
         )
-    if not actions:
-        return Fraction(1)
-    head = actions[0]
-    ga = head if isinstance(head, GroundAction) else _ground_action(model, state, head, env)
-    succ = model.frame.successors(state, ga)
-    if not succ:
-        raise DisabledAction(state, ga)
-    total = Fraction(0)
-    for w, rho in succ:
-        if _truth(model, w, props[0], env):
-            total += rho * eval_q_trace(model, w, actions[1:], props[1:], env)
-    return total
+    env = env or {}
+    k = len(actions)
+    first = k + 1 - len(props)
 
+    def walk(w: str, i: int) -> Fraction | int:
+        if i >= first and not _truth(model, w, props[i - first], env):
+            return 0
+        if i == k:
+            return 1
+        act = actions[i]
+        ga = act if isinstance(act, GroundAction) else _ground_action(model, w, act, env)
+        succ = model.frame.successors(w, ga)
+        if not succ:
+            raise DisabledAction(w, ga)
+        total = 0
+        for v, rho in succ:
+            p = walk(v, i + 1)
+            if p:  # dropped paths cost no rational arithmetic
+                total += rho * p
+        return total
 
-def _q_over_list(model: Model, state: str, list_e: Expr, prop: Expr, env: Env) -> Fraction:
-    """Q applied to an action-list expression. A literal cons chain is
-    destructured syntactically so each action is interpreted at the state
-    where it is taken; any other list expression is evaluated at the
-    current state (actions are rigid, so this agrees)."""
-    match list_e:
-        case Sym(Symbol("nil", _, "list")):
-            return Fraction(int(_truth(model, state, prop, env)))
-        case App(App(Sym(Symbol("::", _, "list")), head_e), tail_e):
-            ga = _ground_action(model, state, head_e, env)
-            succ = model.frame.successors(state, ga)
-            if not succ:
-                raise DisabledAction(state, ga)
-            return sum(
-                rho * _q_over_list(model, w, tail_e, prop, env) for w, rho in succ
-            )
-    v = evaluate(model, state, list_e, env)
-    if not isinstance(v, ListV):
-        raise EvalError(f"Q needs an action list, got {render_value(v)}")
-    actions = []
-    for item in v.items:
-        if not isinstance(item, ActionV):
-            raise EvalError(f"Q needs actions, got {render_value(item)}")
-        actions.append(item.action)
-    return eval_q(model, state, actions, prop, env)
+    return Fraction(walk(state, 0))
 
 
 def _ground_action(model: Model, state: str, expr: Expr, env: Env) -> GroundAction:

@@ -107,9 +107,6 @@ class Frame:
             raise UnknownState(f"unknown state {state}")
         return self.transitions.get((state, action), ())
 
-    def enabled(self, state: str) -> list[GroundAction]:
-        return [a for (w, a) in self.transitions if w == state]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Frame)

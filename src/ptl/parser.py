@@ -45,7 +45,6 @@ from .syntax import (
     NOT,
     OR,
     PLUS,
-    QSYM,
     TIMES,
     TOP,
     App,
@@ -58,12 +57,11 @@ from .syntax import (
     ListT,
     MemberBinder,
     PredBinder,
-    QTrace,
+    Q,
     RatLit,
     Sym,
     Symbol,
     Type,
-    cons_list,
     desugar,
 )
 
@@ -427,9 +425,7 @@ class _Parser:
         while self.eat(";"):
             props.append(self.expr())
         self.expect(")")
-        if len(props) == 1:
-            return App(App(Sym(QSYM), cons_list(actions)), props[0], span=t.span)
-        return QTrace(tuple(actions), tuple(props), span=t.span)
+        return Q(tuple(actions), tuple(props), span=t.span)
 
     # ----- types -----
 
@@ -483,12 +479,18 @@ def parse_type(text: str, source: str = "<type>") -> Type:
     return ty
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def parse_rational(text: str, span: SourceSpan | None = None) -> Fraction:
+    """An integer, p/q or a decimal, with an optional sign. Anything else,
+    exponents and digit separators included, is malformed."""
+    if not _RATIONAL.fullmatch(text):
+        raise ParseError(f"malformed rational {text!r}", span)
     try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise ParseError(f"malformed rational {text!r}", span) from exc
-    return q
 
 
 # ---------- formula files ----------

@@ -18,12 +18,11 @@ from .syntax import (
     Lam,
     MemberBinder,
     PredBinder,
-    QTrace,
+    Q,
     RatLit,
     Sym,
     Symbol,
     spine,
-    uncons_list,
 )
 from .values import render_rational
 
@@ -82,7 +81,7 @@ def _render(e: Expr) -> tuple[str, int]:
                 f"{_print(body, PREFIX)}",
                 PREFIX,
             )
-        case QTrace(actions, props):
+        case Q(actions, props):
             inner_a = "; ".join(_print(a, IFF) for a in actions)
             inner_p = "; ".join(_print(p, IFF) for p in props)
             return f"Q[{inner_a}]({inner_p})", APP
@@ -108,12 +107,6 @@ def _render_app(e: App) -> tuple[str, int]:
             return f"@{state.symbol.name} {_print(args[1], PREFIX)}", PREFIX
         if s.kind == "hybrid" and s.name == "in" and len(args) == 1:
             return f"in({_print(args[0], IFF)})", APP
-        if s.kind == "prob" and len(args) == 2:
-            items = uncons_list(args[0])
-            if items is None:
-                raise ValueError("Q takes a literal action list in surface syntax")
-            inner = "; ".join(_print(a, IFF) for a in items)
-            return f"Q[{inner}]({_print(args[1], IFF)})", APP
         if s.kind == "logical" and s.name == "~" and len(args) == 1:
             return f"~ {_print(args[0], PREFIX)}", PREFIX
         if s.kind == "list" and s.name == "|.|" and len(args) == 1:

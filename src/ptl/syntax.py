@@ -10,7 +10,7 @@ Both are canonicalized structurally; no distinct "prop" node is ever stored,
 so type equality is ordinary structural equality.
 
 Terms are a simply typed lambda calculus extended with modal nodes (box,
-diamond, probability-annotated diamond) and a trace-probability node. Sugared
+diamond, probability-annotated diamond) and a probability node. Sugared
 binder forms produced by the parser (predicate bounds, list-membership
 bounds) are expanded by `desugar` before typechecking or evaluation.
 """
@@ -116,7 +116,7 @@ class Symbol:
     """A named constant or variable occurrence.
 
     kind is one of: var (bound variable), free (resolved against a model's
-    type environment), logical, rel, arith, list, hybrid, prob, quant.
+    type environment), logical, rel, arith, list, hybrid, quant.
     Polymorphic builtins carry type None; their instance type is determined
     at each use site.
     """
@@ -145,7 +145,6 @@ LENGTH = Symbol("|.|", None, "list")  # [tau] -> num
 DIFF = Symbol("-", None, "list")  # [tau] -> tau -> [tau]
 AT = Symbol("@", Arrow(STATE, Arrow(PROP, PROP)), "hybrid")
 IN_STATE = Symbol("in", Arrow(STATE, PROP), "hybrid")
-QSYM = Symbol("Q", Arrow(ListT(ACTION), Arrow(PROP, NUM)), "prob")
 FORALL = Symbol("forall", None, "quant")  # (tau -> prop) -> prop
 EXISTS = Symbol("exists", None, "quant")
 
@@ -226,9 +225,13 @@ class DiamondAnn(Expr):
 
 
 @dataclass(frozen=True)
-class QTrace(Expr):
-    """Trace probability: the chance that each proposition holds right
-    after its action, along the action list. Type num."""
+class Q(Expr):
+    """The probability operator Q[a1; ...; ak](F1; ...; Fn), type num.
+
+    props has one entry or one per action. The propositions line up with
+    the tail of the action word: a single F is tested after the last action
+    (at the state itself when k = 0), and in the trace form each Fi must
+    hold right after ai. A path is dropped as soon as a test fails."""
 
     actions: tuple[Expr, ...]
     props: tuple[Expr, ...]
@@ -328,20 +331,6 @@ def cons_list(items: list[Expr]) -> Expr:
     return out
 
 
-def uncons_list(e: Expr) -> list[Expr] | None:
-    """Inverse of cons_list; None when e is not a literal cons chain."""
-    items: list[Expr] = []
-    while True:
-        match e:
-            case Sym(Symbol("nil", _, "list")):
-                return items
-            case App(App(Sym(Symbol("::", _, "list")), head), tail):
-                items.append(head)
-                e = tail
-            case _:
-                return None
-
-
 def spine(e: Expr) -> tuple[Expr, list[Expr]]:
     """Decompose nested applications into head and argument list."""
     args: list[Expr] = []
@@ -376,8 +365,8 @@ def desugar(e: Expr) -> Expr:
             return Diamond(desugar(action), desugar(body), span=e.span)
         case DiamondAnn(action, prob, body):
             return DiamondAnn(desugar(action), desugar(prob), desugar(body), span=e.span)
-        case QTrace(actions, props):
-            return QTrace(
+        case Q(actions, props):
+            return Q(
                 tuple(desugar(a) for a in actions),
                 tuple(desugar(p) for p in props),
                 span=e.span,
@@ -431,7 +420,7 @@ def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int], depth: int)
                 and _alpha(pa, pb, la, lb, depth)
                 and _alpha(ba, bb, la, lb, depth)
             )
-        case QTrace(aa, pa), QTrace(ab, pb):
+        case Q(aa, pa), Q(ab, pb):
             return (
                 len(aa) == len(ab)
                 and len(pa) == len(pb)
@@ -440,36 +429,3 @@ def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int], depth: int)
             )
         case _:
             return False
-
-
-def free_names(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
-    """Names of free (non-builtin) symbol occurrences."""
-    match e:
-        case Sym(s):
-            if s.kind in ("free", "var") and s.name not in bound:
-                return {s.name}
-            return set()
-        case RatLit():
-            return set()
-        case App(fn, arg):
-            return free_names(fn, bound) | free_names(arg, bound)
-        case Lam(param, body):
-            return free_names(body, bound | {param.name})
-        case Box(action, body) | Diamond(action, body):
-            return free_names(action, bound) | free_names(body, bound)
-        case DiamondAnn(action, prob, body):
-            return (
-                free_names(action, bound)
-                | free_names(prob, bound)
-                | free_names(body, bound)
-            )
-        case QTrace(actions, props):
-            out: set[str] = set()
-            for x in actions + props:
-                out |= free_names(x, bound)
-            return out
-        case PredBinder(_, x, pred, body):
-            return {pred} | free_names(body, bound | {x})
-        case MemberBinder(_, x, bnd, body):
-            return free_names(bnd, bound) | free_names(body, bound | {x})
-    raise TypeError(f"not an expression: {e!r}")

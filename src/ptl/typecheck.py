@@ -24,7 +24,7 @@ from .syntax import (
     Expr,
     Lam,
     ListT,
-    QTrace,
+    Q,
     RatLit,
     Sym,
     Type,
@@ -74,8 +74,8 @@ def infer_type(expr: Expr, env: TypeEnv) -> Type:
             check_type(prob, NUM, env)
             check_type(body, PROP, env)
             return PROP
-        case QTrace(actions, props):
-            if len(actions) != len(props):
+        case Q(actions, props):
+            if len(props) not in (1, len(actions)):
                 raise LengthMismatch(
                     f"trace probability with {len(actions)} actions "
                     f"but {len(props)} propositions",

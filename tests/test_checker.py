@@ -7,6 +7,7 @@ import pytest
 
 from ptl import parse
 from ptl.checker import (
+    ERROR,
     SATISFIED,
     VIOLATED,
     CheckReport,
@@ -41,6 +42,13 @@ def test_bare_probability_formula_is_recorded(coin):
     report = satisfies(coin, "s0", parse("Q[toss(c)](heads(c))"))
     assert report.verdict == SATISFIED
     assert report.numeric == Fraction(1, 2)
+
+
+def test_satisfies_rejects_an_undeclared_state(coin):
+    # an atom-only formula never asks the frame about the state
+    report = satisfies(coin, "zz", parse("heads(c)"))
+    assert report.verdict == ERROR
+    assert report.message == "unknown state zz"
 
 
 def test_witness_drills_through_box(twosucc):

@@ -1,7 +1,7 @@
 """Command line interface: subcommands, exit codes, output shapes.
 
 Exit code contract: 0 satisfied/valid, 1 violated, 2 usage, parse, type,
-or model problems, 3 evaluation errors.
+or model problems, 3 evaluation errors, 4 internal errors.
 """
 
 import json
@@ -343,3 +343,42 @@ def test_corpus_malformed_row(capsys, tmp_path):
     code, _, err = run(capsys, "corpus", str(tmp_path))
     assert code == 2
     assert "bad manifest row" in err
+
+
+# ---------- crashes never read as verdicts ----------
+
+def assert_one_line(err):
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_non_utf8_model_exits_2_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "latin1.ptlm"
+    text = corpus_text("coin.ptlm").replace("One-shot", "Caf\u00e9 one-shot")
+    path.write_bytes(text.encode("latin-1"))
+    code, _, err = run(capsys, "eval", str(path), "heads(c)")
+    assert code == 2
+    assert str(path) in err and "UTF-8" in err
+    assert_one_line(err)
+
+
+@pytest.mark.parametrize(
+    "exc, exit_code, line",
+    [
+        (RecursionError("maximum recursion depth exceeded"), 2,
+         "error: input nested too deeply"),
+        (RuntimeError("boom"), 4, "internal error: RuntimeError: boom"),
+    ],
+    ids=["recursion", "internal"],
+)
+def test_unexpected_exceptions_get_one_line_and_never_exit_1(
+    capsys, monkeypatch, exc, exit_code, line
+):
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr("ptl.cli.cmd_eval", crash)
+    code, _, err = run(capsys, "eval", corpus_path("coin.ptlm"), "heads(c)")
+    assert code == exit_code
+    assert err == line + "\n"
+    assert_one_line(err)

@@ -29,7 +29,7 @@ from ptl.syntax import (
     DiamondAnn,
     Lam,
     ListT,
-    QTrace,
+    Q,
     RatLit,
     Sym,
     alpha_eq,
@@ -85,6 +85,17 @@ def test_parse_rational_rejects_junk():
             parse_rational(bad)
 
 
+def test_parse_rational_takes_only_the_documented_forms():
+    assert parse_rational("-3/4") == Fraction(-3, 4)
+    assert parse_rational("+0.5") == Fraction(1, 2)
+    for bad in ("1e400", "1_000", "1E3", "0x10", "1/2/3"):
+        with pytest.raises(ParseError, match="malformed rational"):
+            parse_rational(bad)
+    coin = corpus_text("coin.ptlm").replace("sh @ 1/2", "sh @ 5e-1", 1)
+    with pytest.raises(ParseError, match="malformed rational '5e-1'"):
+        parse_model(coin)
+
+
 def test_parse_type_forms():
     assert parse_type("bool") == BOOL
     assert parse_type("prop") == PROP
@@ -114,24 +125,21 @@ def test_implication_is_right_associative():
 
 def test_q_brackets_take_action_sequence():
     e = parse("Q[t; t](H)")
-    head, args = spine(e)
-    assert head.symbol.name == "Q"
-    # single proposition: a Q application over a two-action list
-    from ptl.syntax import uncons_list
-    acts = uncons_list(args[0])
-    assert acts is not None and len(acts) == 2
+    # single proposition: one Q node over a two-action word
+    assert isinstance(e, Q)
+    assert len(e.actions) == 2 and len(e.props) == 1
 
 
 def test_q_trace_form():
     e = parse("Q[t; t](H; T)")
-    assert isinstance(e, QTrace)
+    assert isinstance(e, Q)
     assert len(e.actions) == 2 and len(e.props) == 2
 
 
 def test_q_trace_keeps_lengths_for_the_typechecker():
     # mismatched action/proposition counts parse; the typechecker rejects them
     e = parse("Q[t; t](H; T; H)")
-    assert isinstance(e, QTrace)
+    assert isinstance(e, Q)
     assert len(e.actions) == 2 and len(e.props) == 3
 
 

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+from ptl.parser import parse
+from ptl.printer import print_formula
 from ptl.syntax import (
     ACTION,
     BOOL,
@@ -17,7 +19,7 @@ from ptl.syntax import (
     ListT,
     MemberBinder,
     PredBinder,
-    QTrace,
+    Q,
     Sym,
     Symbol,
     action_arity,
@@ -30,7 +32,6 @@ from ptl.syntax import (
     disj,
     eq,
     free,
-    free_names,
     imp,
     is_atom_signature,
     lt,
@@ -39,7 +40,6 @@ from ptl.syntax import (
     rat,
     spine,
     sym,
-    uncons_list,
     var,
 )
 
@@ -81,13 +81,9 @@ def test_spine_unwinds_applications():
 
 
 def test_cons_list_round_trip():
-    items = [rat(1), rat(2), rat(3)]
-    e = cons_list(items)
-    back = uncons_list(e)
-    assert back is not None
-    assert [a.value for a in back] == [1, 2, 3]
-    # a list with a non-nil tail is not a literal list
-    assert uncons_list(free("xs")) is None
+    e = cons_list([rat(1), rat(2), rat(3)])
+    assert print_formula(e) == "1 :: 2 :: 3 :: nil"
+    assert alpha_eq(parse(print_formula(e)), e)
 
 
 def test_member_binder_desugars_to_guarded_quantifier():
@@ -130,7 +126,7 @@ def test_desugar_reaches_under_modalities():
     assert not isinstance(boxed.body, MemberBinder)
     dia = desugar(Diamond(free("act"), inner))
     assert not isinstance(dia.body, MemberBinder)
-    q = desugar(QTrace((free("act"),), (inner,)))
+    q = desugar(Q((free("act"),), (inner,)))
     assert not isinstance(q.props[0], MemberBinder)
 
 
@@ -145,14 +141,6 @@ def test_alpha_eq_ignores_bound_names():
 def test_alpha_eq_distinguishes_rationals():
     assert alpha_eq(rat(1, 2), rat(2, 4))
     assert not alpha_eq(rat(1, 2), rat(1, 3))
-
-
-def test_free_names_skips_binders():
-    body = conj(app(free("p"), var("x", OBJ)), app(free("q"), free("y")))
-    form = quant("exists", "x", OBJ, body)
-    names = free_names(form)
-    assert "x" not in names
-    assert {"p", "q", "y"} <= names
 
 
 def test_connective_builders():
