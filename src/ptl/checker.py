@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import LengthMismatch, PtlError, UnknownState
+from .errors import LengthMismatch, PtlError
 from .evaluator import (
     _ground_action,
     describe,
@@ -87,8 +87,6 @@ def _error_report(exc: PtlError) -> CheckReport:
 def satisfies(model: Model, state: str, formula: Expr) -> CheckReport:
     """Truth of a formula at one state. Numeric comparisons get the value
     of their probability side recorded; violations get a witness trail."""
-    if state not in model.states:
-        return _error_report(UnknownState(f"unknown state {state}"))
     try:
         value = evaluate(model, state, formula)
     except PtlError as exc:

@@ -100,7 +100,7 @@ def _load_one_formula(ref: str, what: str) -> Expr:
 
 def _resolve_state(model: Model, state: str | None) -> str:
     if state is not None:
-        if state not in model.states:
+        if state not in model.frame.state_index:
             raise UnknownState(f"model {model.name} has no state '{state}'")
         return state
     if model.initial is not None:

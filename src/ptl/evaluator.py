@@ -70,8 +70,11 @@ Env = dict[str, Value]
 
 def evaluate(model: Model, state: str, expr: Expr, env: Env | None = None) -> Value:
     """Interpret a desugared, well-typed expression at a state."""
-    if env is None:
-        env = {}
+    model.frame.require(state)
+    return _eval(model, state, expr, env or {})
+
+
+def _eval(model: Model, state: str, expr: Expr, env: Env) -> Value:
     match expr:
         case RatLit(v):
             return RatV(v)
@@ -106,14 +109,14 @@ def _apply_expr(model: Model, state: str, expr: App, env: Env) -> Value:
     # evaluated at other states, not here
     match expr:
         case App(App(Sym(Symbol("@", _, "hybrid")), state_e), body):
-            v = evaluate(model, state, state_e, env)
+            v = _eval(model, state, state_e, env)
             if not isinstance(v, StateV):
                 raise EvalError(f"@ needs a state, got {render_value(v)}")
-            return evaluate(model, v.name, body, env)
+            return _eval(model, v.name, body, env)
         case App(Sym(Symbol("@", _, "hybrid")), _):
             raise EvalError("'@' must be fully applied")
-    fn = evaluate(model, state, expr.fn, env)
-    arg = evaluate(model, state, expr.arg, env)
+    fn = _eval(model, state, expr.fn, env)
+    arg = _eval(model, state, expr.arg, env)
     return apply_value(model, fn, arg)
 
 
@@ -122,21 +125,21 @@ def apply_value(model: Model, fn: Value, arg: Value) -> Value:
         case ClosureV(param, body, cenv, cstate):
             inner = dict(cenv)
             inner[param.name] = arg
-            return evaluate(model, cstate, body, inner)
+            return _eval(model, cstate, body, inner)
         case NativeV(f):
             return f(arg)
     raise EvalError(f"{render_value(fn)} is not a function")
 
 
 def _truth(model: Model, state: str, expr: Expr, env: Env) -> bool:
-    v = evaluate(model, state, expr, env)
+    v = _eval(model, state, expr, env)
     if not isinstance(v, BoolV):
         raise EvalError(f"expected a truth value, got {render_value(v)}")
     return v.value
 
 
 def _rational(model: Model, state: str, expr: Expr, env: Env) -> Fraction:
-    v = evaluate(model, state, expr, env)
+    v = _eval(model, state, expr, env)
     if not isinstance(v, RatV):
         raise EvalError(f"expected a number, got {render_value(v)}")
     return v.value
@@ -145,6 +148,7 @@ def _rational(model: Model, state: str, expr: Expr, env: Env) -> Fraction:
 def eval_arith(model: Model, state: str, expr: Expr, env: Env | None = None) -> Fraction:
     """Evaluate a numeric expression (arithmetic over probability queries
     included) to an exact rational."""
+    model.frame.require(state)
     return _rational(model, state, expr, env or {})
 
 
@@ -164,6 +168,7 @@ def eval_q(
     no transitions at the state it is taken from raises DisabledAction;
     silently treating it as probability 0 would mask modeling mistakes.
     """
+    model.frame.require(state)
     return _q(model, state, actions, (prop,), env)
 
 
@@ -176,6 +181,7 @@ def eval_q_trace(
 ) -> Fraction:
     """Trace probability: the chance that each proposition holds right
     after its own action. Base case: the empty trace has probability 1."""
+    model.frame.require(state)
     return _q(model, state, actions, props, env, trace=True)
 
 
@@ -187,11 +193,18 @@ def _q(
     env: Env | None,
     trace: bool = False,
 ) -> Fraction:
-    """The one Q kernel: a depth-first walk over the paths of the action
-    word in declaration order. Each action is grounded at the state where
-    it is taken, and the propositions are tested where `syntax.Q` lines
-    them up, so prop j is tested after `first + j` actions. `trace`
-    demands one proposition per action."""
+    """The one Q kernel. The value of a cell (w, i), the mass of the rest
+    of the word from state w after i actions, depends on nothing else, so
+    each cell is computed once and memoised for this call: a k-step query
+    costs O(k·|E|), not one walk per path. The walk is depth-first in
+    declaration order on an explicit stack, so it meets the first error a
+    path-by-path walk would meet and has no horizon limit.
+
+    Each action is grounded at the state where it is taken, and the
+    propositions are tested where `syntax.Q` lines them up, so prop j is
+    tested after `first + j` actions; a failing test drops the cell before
+    its successors are looked up. `trace` demands one proposition per
+    action."""
     if len(props) != len(actions) and (trace or len(props) != 1):
         raise LengthMismatch(
             f"{len(actions)} actions but {len(props)} propositions"
@@ -199,29 +212,53 @@ def _q(
     env = env or {}
     k = len(actions)
     first = k + 1 - len(props)
+    successors = model.frame.successors
 
-    def walk(w: str, i: int) -> Fraction | int:
+    def open_cell(w: str, i: int) -> int | Sequence[tuple[str, Fraction]]:
+        """The 0/1 value of a cell that needs no successors, else its
+        successors."""
         if i >= first and not _truth(model, w, props[i - first], env):
             return 0
         if i == k:
             return 1
         act = actions[i]
         ga = act if isinstance(act, GroundAction) else _ground_action(model, w, act, env)
-        succ = model.frame.successors(w, ga)
+        succ = successors(w, ga)
         if not succ:
             raise DisabledAction(w, ga)
-        total = 0
-        for v, rho in succ:
-            p = walk(v, i + 1)
+        return succ
+
+    root = open_cell(state, 0)
+    if isinstance(root, int):
+        return Fraction(root)
+    memo: dict[tuple[str, int], Fraction | int] = {}
+    # one frame per open cell: [state, step, successors, next successor, mass so far]
+    stack = [[state, 0, root, 0, 0]]
+    while stack:
+        top = stack[-1]
+        w, i, succ, j, total = top
+        n = i + 1
+        while j < len(succ):
+            v, rho = succ[j]
+            p = memo.get((v, n))
+            if p is None:
+                p = open_cell(v, n)
+                if not isinstance(p, int):  # walk it, then come back to read it
+                    top[3], top[4] = j, total
+                    stack.append([v, n, p, 0, 0])
+                    break
+                memo[v, n] = p
             if p:  # dropped paths cost no rational arithmetic
                 total += rho * p
-        return total
-
-    return Fraction(walk(state, 0))
+            j += 1
+        else:
+            stack.pop()
+            memo[w, i] = total
+    return Fraction(memo[state, 0])
 
 
 def _ground_action(model: Model, state: str, expr: Expr, env: Env) -> GroundAction:
-    v = evaluate(model, state, expr, env)
+    v = _eval(model, state, expr, env)
     if not isinstance(v, ActionV):
         raise EvalError(f"expected an action, got {render_value(v)}")
     return v.action
@@ -390,6 +427,7 @@ def _divide(a: Value, b: Value) -> Value:
 
 def truth(model: Model, state: str, expr: Expr, env: Env | None = None) -> bool:
     """Convenience: evaluate a proposition to a Python bool."""
+    model.frame.require(state)
     return _truth(model, state, expr, env or {})
 
 

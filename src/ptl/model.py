@@ -6,9 +6,10 @@ A model adds a finite object universe, signatures for uninterpreted symbols,
 rigid interpretations for non-boolean constants, and a closed-world
 valuation of ground atoms per state: atoms not listed are false.
 
-Models are immutable after validation and safe to share between threads.
-`validate_model` is a pure function of the spec; validating the same spec
-twice yields equal models.
+Models are immutable after validation and safe to share between threads:
+the frame's state index is a frozenset built once, and the evaluator keeps
+its Q memo per call, never on the model. `validate_model` is a pure
+function of the spec; validating the same spec twice yields equal models.
 """
 
 from __future__ import annotations
@@ -95,16 +96,25 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Frame:
-    """States plus the probabilistic transition structure."""
+    """States plus the probabilistic transition structure. `state_index`
+    is the state set, for O(1) membership tests."""
 
     states: tuple[str, ...]
     transitions: dict[tuple[str, GroundAction], tuple[tuple[str, Fraction], ...]] = field(
         default_factory=dict
     )
+    state_index: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "state_index", frozenset(self.states))
+
+    def require(self, state: str) -> None:
+        """Raise UnknownState unless the state is declared."""
+        if state not in self.state_index:
+            raise UnknownState(f"unknown state {state}")
 
     def successors(self, state: str, action: GroundAction) -> tuple[tuple[str, Fraction], ...]:
-        if state not in self.states:
-            raise UnknownState(f"unknown state {state}")
+        self.require(state)
         return self.transitions.get((state, action), ())
 
     def __eq__(self, other) -> bool:

@@ -133,6 +133,20 @@ def test_eval_parse_error_exits_2(capsys):
     assert code == 2
 
 
+def test_eval_takes_a_2000_step_q(capsys, tmp_path):
+    # a recursive path walk fails here as "input nested too deeply"
+    path = tmp_path / "loop.ptlm"
+    path.write_text(
+        "model loop\nstates s0 s1\ninitial s0\nactions\n  a : action\n"
+        "types\n  p : prop\ntransitions\n  s0 --a--> s0 @ 1/2\n"
+        "  s0 --a--> s1 @ 1/2\n  s1 --a--> s1 @ 1\nvaluation\n  s1 : p\n"
+    )
+    k = 2000
+    code, out, err = run(capsys, "eval", str(path), f"Q[{'; '.join(['a'] * k)}](p)")
+    assert (code, err) == (0, "")
+    assert out == f"{2**k - 1}/{2**k}\n"
+
+
 # ---------- check ----------
 
 def test_check_satisfied(capsys):

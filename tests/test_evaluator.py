@@ -14,8 +14,8 @@ import pytest
 from conftest import load_model
 
 from ptl import parse
-from ptl.errors import DisabledAction, DivisionByZero, EvalError
-from ptl.evaluator import eval_q, eval_q_trace, evaluate, truth
+from ptl.errors import DisabledAction, DivisionByZero, EvalError, UnknownState
+from ptl.evaluator import eval_arith, eval_q, eval_q_trace, evaluate, truth
 from ptl.model import (
     ModelSpec,
     SymbolDecl,
@@ -37,6 +37,23 @@ def holds(model, state, text):
 
 
 # ---------- propositional and hybrid forms ----------
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m, s: evaluate(m, s, parse("heads(c)")),
+        lambda m, s: truth(m, s, parse("heads(c)")),
+        lambda m, s: eval_arith(m, s, parse("1/2")),
+        lambda m, s: eval_q(m, s, [], parse("heads(c)")),
+        lambda m, s: eval_q_trace(m, s, [], []),
+    ],
+    ids=["evaluate", "truth", "eval_arith", "eval_q", "eval_q_trace"],
+)
+def test_entry_points_reject_an_undeclared_state(coin, entry):
+    # none of these formulas asks the frame about the state
+    with pytest.raises(UnknownState, match="^unknown state zz$"):
+        entry(coin, "zz")
 
 def test_atoms_and_connectives(twotoss):
     assert holds(twotoss, "sh", "H(c)")

@@ -3,9 +3,12 @@
 Both surface forms, Q[a1; ...; ak](F) and Q[a1; ...; ak](F1; ...; Fk),
 parse to the same Q node. Here the kernel is checked against a plain
 path-enumeration reference on generated frames: equal values, or the same
-error class and message.
+error class and message. Its cost is checked by counting successor
+lookups, which the (state, step) memo bounds by states times steps, and
+its depth by horizons far past the recursion limit.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,8 @@ from hypothesis import strategies as st
 
 from ptl import Q, alpha_eq, evaluate, parse, parse_model, print_formula, validate_model
 from ptl.errors import DisabledAction, LengthMismatch
-from ptl.values import GroundAction
+from ptl.model import Frame
+from ptl.values import GroundAction, ObjV
 
 ACTIONS = ("a", "b")
 ATOMS = ("p", "q")
@@ -126,7 +130,7 @@ def outcome(run):
 @given(
     frame=frames(),
     data=st.data(),
-    word=st.lists(st.sampled_from(ACTIONS), max_size=4),
+    word=st.lists(st.sampled_from(ACTIONS), max_size=6),
 )
 def test_kernel_agrees_with_path_enumeration(frame, data, word):
     model, transitions, valuation = frame
@@ -168,6 +172,158 @@ def test_untypechecked_length_mismatch_surfaces_at_evaluation(coin):
     e = parse("Q[toss(c); toss(c)](heads(c); tails(c); heads(c))")
     with pytest.raises(LengthMismatch, match="2 actions but 3 propositions"):
         evaluate(coin, "s0", e)
+
+
+def load(text):
+    return validate_model(parse_model(text))
+
+
+def repeat(action, k):
+    return "; ".join([action] * k)
+
+
+# ---------- cost and depth ----------
+
+
+def random_frame(n, branching, seed):
+    """(model, transitions): n states, one action with `branching`
+    successors each, p true at about half the states."""
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(n)]
+    transitions = {}
+    for s in states:
+        targets = rng.sample(states, branching)
+        weights = [rng.randint(1, 4) for _ in targets]
+        transitions[s] = [(t, Fraction(w, sum(weights))) for t, w in zip(targets, weights)]
+    marked = [s for s in states if rng.random() < 0.5]
+    lines = ["model r", "states " + " ".join(states), "actions", "  a : action",
+             "types", "  p : prop", "transitions"]
+    lines += [f"  {s} --a--> {t} @ {rho}" for s, succ in transitions.items() for t, rho in succ]
+    lines += ["valuation"] + [f"  {s} : p" for s in marked]
+    return load("\n".join(lines) + "\n"), transitions, set(marked)
+
+
+def backward(transitions, marked, k):
+    """Q[a^k](p) at every state, one layer at a time."""
+    v = {s: Fraction(int(s in marked)) for s in transitions}
+    for _ in range(k):
+        v = {s: sum(rho * v[t] for t, rho in succ) for s, succ in transitions.items()}
+    return v
+
+
+@pytest.fixture
+def successor_calls(monkeypatch):
+    calls = []
+    original = Frame.successors
+
+    def counted(self, state, action):
+        calls.append(state)
+        return original(self, state, action)
+
+    monkeypatch.setattr(Frame, "successors", counted)
+    return calls
+
+
+def test_q_looks_up_each_cell_at_most_once(successor_calls):
+    # path enumeration makes about 29 500 lookups here; the memo allows
+    # one per (state, step)
+    n, k = 50, 10
+    model, transitions, marked = random_frame(n, 3, seed=7)
+    want = backward(transitions, marked, k)
+    for state in ("s0", "s17"):
+        successor_calls.clear()
+        assert evaluate(model, state, parse(f"Q[{repeat('a', k)}](p)")).value == want[state]
+        assert len(successor_calls) <= n * k
+        successor_calls.clear()
+        trace = parse(f"Q[{repeat('a', k)}]({repeat('~ false', k)})")
+        assert evaluate(model, state, trace).value == 1
+        assert len(successor_calls) <= n * k
+
+
+LOOP = """model loop
+states s0 s1
+actions
+  a : action
+types
+  p : prop
+transitions
+  s0 --a--> s0 @ 1/2
+  s0 --a--> s1 @ 1/2
+  s1 --a--> s1 @ 1
+valuation
+  s1 : p
+"""
+
+
+def test_horizons_far_past_the_recursion_limit():
+    model = load(LOOP)
+    k = 10000
+    assert evaluate(model, "s0", parse(f"Q[{repeat('a', k)}](p)")).value == 1 - Fraction(1, 2**k)
+    assert evaluate(model, "s0", parse(f"Q[{repeat('a', k)}]({repeat('true', k)})")).value == 1
+
+
+# ---------- error order and memo scoping ----------
+
+
+FORK = """model fork
+states s0 s1 s2
+actions
+  a : action
+  b : action
+types
+  r : prop
+transitions
+  s0 --a--> s2 @ 1/2
+  s0 --a--> s1 @ 1/2
+valuation
+  s2 : r
+"""
+
+
+def test_the_first_declared_live_successor_names_the_disabled_action():
+    # both successors lack b; s2's transition is declared first, although
+    # s1 is the first declared state
+    model = load(FORK)
+    with pytest.raises(DisabledAction, match="at state s2$"):
+        evaluate(model, "s0", parse("Q[a; b](true)"))
+    # pruned by ~ r, the path through s2 never takes b
+    with pytest.raises(DisabledAction, match="at state s1$"):
+        evaluate(model, "s0", parse("Q[a; b](~ r; true)"))
+
+
+OBJECTS = """model objs
+objects o1 o2
+states s0 s1 s2 s3
+actions
+  a : action
+types
+  P : obj -> prop
+transitions
+  s0 --a--> s1 @ 1/4
+  s0 --a--> s2 @ 3/4
+  s1 --a--> s3 @ 1
+  s2 --a--> s3 @ 1/2
+  s2 --a--> s1 @ 1/2
+  s3 --a--> s3 @ 1
+valuation
+  s3 : P(o1)
+  s1 : P(o2)
+"""
+
+
+def test_each_quantifier_binding_gets_its_own_memo():
+    # both paths through s1 and s3 share cells, and the value differs per
+    # object, so a memo shared across bindings gives one of them the
+    # other's value
+    model = load(OBJECTS)
+    q = "Q[a; a](P(x))"
+    assert evaluate(model, "s0", parse(q), {"x": ObjV("o1")}).value == Fraction(5, 8)
+    assert evaluate(model, "s0", parse(q), {"x": ObjV("o2")}).value == Fraction(3, 8)
+    per_binding = parse(
+        f"forall x : obj . ((x = o1 -> {q} = 5/8) /\\ (x = o2 -> {q} = 3/8))"
+    )
+    assert evaluate(model, "s0", per_binding).value is True
+    assert evaluate(model, "s0", parse(f"exists x : obj . {q} = 3/8")).value is True
 
 
 # ---------- printing ----------
