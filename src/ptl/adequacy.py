@@ -351,23 +351,25 @@ def enumerate_events(
 
     Starts from the singletons and closes under complement, union and
     intersection for `depth` rounds, keeping only expressions whose
-    denotation is new. Small spaces reach the full event algebra."""
+    denotation is new. Small spaces reach the full event algebra. Each
+    candidate's denotation is combined from the stored denotations of its
+    operands, never re-derived through `denote`."""
+    everything = frozenset(space.outcomes)
     events: dict[frozenset[str], SetExpr] = {}
     for o in space.outcomes:
-        e = Singleton(o)
-        events.setdefault(denote(space, e), e)
+        events.setdefault(frozenset({o}), Singleton(o))
     for _ in range(depth):
         if len(events) >= max_events:
             break
-        current = list(events.values())
-        for e in current:
-            events.setdefault(denote(space, Complement(e)), Complement(e))
-        for a in current:
+        current = list(events.items())
+        for d, e in current:
+            events.setdefault(everything - d, Complement(e))
+        for da, a in current:
             if len(events) >= max_events:
                 break
-            for b in current:
-                events.setdefault(denote(space, Union(a, b)), Union(a, b))
-                events.setdefault(denote(space, Intersection(a, b)), Intersection(a, b))
+            for db, b in current:
+                events.setdefault(da | db, Union(a, b))
+                events.setdefault(da & db, Intersection(a, b))
     return list(events.values())[:max_events]
 
 

@@ -104,6 +104,29 @@ def _eval(model: Model, state: str, expr: Expr, env: Env) -> Value:
     raise EvalError(f"cannot evaluate {type(expr).__name__}; desugar first")
 
 
+def state_independent(model: Model, expr: Expr) -> bool:
+    """True when `_eval` gives expr the same value, or raises the same
+    error, at every state. Only atoms, `in`, the modal nodes and Q read
+    the current state; `@` moves its body to a state of its own, closures
+    run at their captured state, and quantifier domains and rigid values
+    are plain data. A sufficient test, not a complete one."""
+    match expr:
+        case RatLit():
+            return True
+        case Sym(s):
+            return not (
+                (s.kind == "free" and s.name in model.atoms)
+                or (s.kind == "hybrid" and s.name == "in")
+            )
+        case App(App(Sym(Symbol("@", _, "hybrid")), state_e), _):
+            return state_independent(model, state_e)
+        case App(fn, arg):
+            return state_independent(model, fn) and state_independent(model, arg)
+        case Lam(_, body):
+            return state_independent(model, body)
+    return False  # Box, Diamond, DiamondAnn, Q, and undesugared nodes
+
+
 def _apply_expr(model: Model, state: str, expr: App, env: Env) -> Value:
     # intensional special forms first: their proposition argument is
     # evaluated at other states, not here
@@ -112,6 +135,7 @@ def _apply_expr(model: Model, state: str, expr: App, env: Env) -> Value:
             v = _eval(model, state, state_e, env)
             if not isinstance(v, StateV):
                 raise EvalError(f"@ needs a state, got {render_value(v)}")
+            model.frame.require(v.name)
             return _eval(model, v.name, body, env)
         case App(Sym(Symbol("@", _, "hybrid")), _):
             raise EvalError("'@' must be fully applied")

@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled corpus models, parsed once per session.
+"""Shared fixtures: bundled corpus models, parsed once per session, and
+a count of successor lookups.
 
 Also prints a one-line verdict per acceptance criterion at the end of
 the run, collected from the test_criterion_* results.
@@ -10,6 +11,7 @@ from importlib import resources
 import pytest
 
 from ptl import parse_formula_file, parse_model, validate_model
+from ptl.model import Frame
 
 CORPUS = resources.files("ptl").joinpath("corpus")
 
@@ -68,6 +70,20 @@ def twosucc():
 @pytest.fixture(scope="session")
 def montyhall():
     return load_model("montyhall.ptlm")
+
+
+@pytest.fixture
+def successor_calls(monkeypatch):
+    """The states of every Frame.successors call made during the test."""
+    calls = []
+    original = Frame.successors
+
+    def counted(self, state, action):
+        calls.append(state)
+        return original(self, state, action)
+
+    monkeypatch.setattr(Frame, "successors", counted)
+    return calls
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")

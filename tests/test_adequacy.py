@@ -13,6 +13,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_text
 
@@ -259,3 +261,37 @@ def test_enumerate_events_covers_every_denotation_up_to_depth():
     }
     # deduplication keeps one representative per denotation
     assert len(coin_events) == len(denotations)
+
+
+def enumerate_by_denote(space, depth, max_events):
+    """The enumeration with every candidate's denotation taken by `denote`."""
+    events = {}
+    for o in space.outcomes:
+        events.setdefault(denote(space, Singleton(o)), Singleton(o))
+    for _ in range(depth):
+        if len(events) >= max_events:
+            break
+        current = list(events.values())
+        for e in current:
+            events.setdefault(denote(space, Complement(e)), Complement(e))
+        for a in current:
+            if len(events) >= max_events:
+                break
+            for b in current:
+                events.setdefault(denote(space, Union(a, b)), Union(a, b))
+                events.setdefault(denote(space, Intersection(a, b)), Intersection(a, b))
+    return list(events.values())[:max_events]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    depth=st.integers(0, 3),
+    max_events=st.sampled_from([1, 3, 8, 20, 512]),
+)
+def test_enumerate_events_matches_denote_on_every_candidate(n, depth, max_events):
+    outcomes = tuple(f"o{i}" for i in range(n))
+    space = ProbabilitySpace("s", outcomes, {o: Fraction(1, n) for o in outcomes})
+    assert enumerate_events(space, depth, max_events) == enumerate_by_denote(
+        space, depth, max_events
+    )

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from ptl import Q, alpha_eq, evaluate, parse, parse_model, print_formula, validate_model
 from ptl.errors import DisabledAction, LengthMismatch
-from ptl.model import Frame
 from ptl.values import GroundAction, ObjV
 
 ACTIONS = ("a", "b")
@@ -209,19 +208,6 @@ def backward(transitions, marked, k):
     for _ in range(k):
         v = {s: sum(rho * v[t] for t, rho in succ) for s, succ in transitions.items()}
     return v
-
-
-@pytest.fixture
-def successor_calls(monkeypatch):
-    calls = []
-    original = Frame.successors
-
-    def counted(self, state, action):
-        calls.append(state)
-        return original(self, state, action)
-
-    monkeypatch.setattr(Frame, "successors", counted)
-    return calls
 
 
 def test_q_looks_up_each_cell_at_most_once(successor_calls):
