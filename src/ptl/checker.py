@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import LengthMismatch, PtlError
 from .evaluator import (
     _ground_action,
+    apply_value,
     describe,
     eval_q,
     eval_q_trace,
@@ -86,10 +87,18 @@ def _error_report(exc: PtlError) -> CheckReport:
 
 
 def satisfies(model: Model, state: str, formula: Expr) -> CheckReport:
-    """Truth of a formula at one state. Numeric comparisons get the value
-    of their probability side recorded; violations get a witness trail."""
+    """Truth of a formula at one state. A comparison gets both side values
+    and the value of its probability side recorded; violations get a
+    witness trail."""
+    sides = comparison(formula)
     try:
-        value = evaluate(model, state, formula)
+        if sides is None:
+            value = evaluate(model, state, formula)
+        else:
+            rel, lhs, rhs = sides
+            op = evaluate(model, state, rel)
+            lv, rv = evaluate(model, state, lhs), evaluate(model, state, rhs)
+            value = apply_value(model, apply_value(model, op, lv), rv)
     except PtlError as exc:
         return _error_report(exc)
     if isinstance(value, RatV):
@@ -98,11 +107,22 @@ def satisfies(model: Model, state: str, formula: Expr) -> CheckReport:
     if not isinstance(value, BoolV):
         return CheckReport(ERROR, message=f"formula evaluated to {render_value(value)}")
     report = CheckReport(SATISFIED if value.value else VIOLATED)
-    _attach_numeric(report, model, state, formula)
+    if sides is not None and isinstance(lv, RatV) and isinstance(rv, RatV):
+        report.details.update(lhs=render_rational(lv.value), rhs=render_rational(rv.value))
+        report.numeric = (lv if _mentions_q(lhs) or not _mentions_q(rhs) else rv).value
     if not value.value:
         trail = _drill(model, state, formula, {})
         report.witness = {"state": _trail_state(trail, state), "trail": trail}
     return report
+
+
+def comparison(formula: Expr) -> tuple[Expr, Expr, Expr] | None:
+    """The relation symbol and the two sides of a top-level `lhs = rhs` or
+    `lhs < rhs`; None for any other formula."""
+    match formula:
+        case App(App(Sym(Symbol(("=" | "<"), _, "rel")) as rel, lhs), rhs):
+            return rel, lhs, rhs
+    return None
 
 
 def globally_satisfies(model: Model, formula: Expr) -> CheckReport:
@@ -124,21 +144,6 @@ def globally_satisfies(model: Model, formula: Expr) -> CheckReport:
             report.details["violating_state"] = state
             return report
     return CheckReport(SATISFIED, details={"states_checked": len(model.states)})
-
-
-def _attach_numeric(report: CheckReport, model: Model, state: str, formula: Expr) -> None:
-    match formula:
-        case App(App(Sym(Symbol(("=" | "<"), _, "rel")), lhs), rhs):
-            try:
-                lv = evaluate(model, state, lhs)
-                rv = evaluate(model, state, rhs)
-            except PtlError:
-                return
-            if isinstance(lv, RatV) and isinstance(rv, RatV):
-                report.details["lhs"] = render_rational(lv.value)
-                report.details["rhs"] = render_rational(rv.value)
-                side = lv if _mentions_q(lhs) or not _mentions_q(rhs) else rv
-                report.numeric = side.value
 
 
 def _mentions_q(e: Expr) -> bool:

@@ -28,6 +28,7 @@ from .checker import (
     CheckReport,
     Theory,
     check_independent,
+    comparison,
     entails,
     globally_satisfies,
     satisfies,
@@ -44,7 +45,7 @@ from .errors import (
 from .evaluator import describe, evaluate
 from .model import Model, serialize_model, validate_model
 from .parser import parse, parse_formula_file, parse_model, parse_rational, strip_comment
-from .syntax import App, Expr, RatLit, Sym, Symbol
+from .syntax import Expr, RatLit
 from .typecheck import infer_type
 from .values import BoolV, GroundAction, RatV, render_rational, render_value
 
@@ -158,28 +159,19 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _comparison_line(model: Model, state: str, expr: Expr, decimal: bool) -> str | None:
+def _comparison_line(report: CheckReport, expr: Expr, decimal: bool) -> str | None:
     """For a relation between two numeric sides, a one-line reading with
-    both exact values, e.g. `Q[...](V) = 1/3 < 2/3 = Q[...](V)`."""
-    match expr:
-        case App(App(Sym(Symbol(("=" | "<"), _, "rel")), lhs), rhs):
-            pass
-        case _:
-            return None
-    try:
-        lv = evaluate(model, state, lhs)
-        rv = evaluate(model, state, rhs)
-    except PtlError:
+    both exact values as `satisfies` recorded them, e.g.
+    `Q[...](V) = 1/3 < 2/3 = Q[...](V)`."""
+    if "lhs" not in report.details:
         return None
-    if not (isinstance(lv, RatV) and isinstance(rv, RatV)):
-        return None
-    op = "<" if lv.value < rv.value else ("=" if lv.value == rv.value else ">")
+    _, lhs, rhs = comparison(expr)
+    lv, rv = Fraction(report.details["lhs"]), Fraction(report.details["rhs"])
+    op = "<" if lv < rv else ("=" if lv == rv else ">")
     left = f"{describe(lhs)} = " if not isinstance(lhs, RatLit) else ""
     right = f" = {describe(rhs)}" if not isinstance(rhs, RatLit) else ""
-    line = (
-        f"{left}{render_rational(lv.value)} {op} {render_rational(rv.value)}{right}"
-    )
-    return line + _decimal_comment(lv.value) if decimal else line
+    line = f"{left}{render_rational(lv)} {op} {render_rational(rv)}{right}"
+    return line + _decimal_comment(lv) if decimal else line
 
 
 def _witness_lines(witness: dict) -> list[str]:
@@ -284,10 +276,10 @@ def cmd_check(args) -> int:
             continue
         label = None if bare else name
         lines = _report_lines(label, report, args.decimal)
-        if not args.global_ and report.verdict != ERROR:
-            comparison = _comparison_line(model, state, expr, args.decimal)
-            if comparison:
-                lines.insert(1, f"  {comparison}")
+        if not args.global_:
+            reading = _comparison_line(report, expr, args.decimal)
+            if reading:
+                lines.insert(1, f"  {reading}")
         print("\n".join(lines))
     if args.json:
         if len(payload) == 1:
@@ -441,32 +433,26 @@ def _run_row(root, models, formulas, model_file, formula_ref, state_field, expec
             raise ParseError(f"{path} has no definition named '{frag}'")
         expr = formulas[path][frag]
         _typecheck(model, frag, expr)
-        if expect in (SATISFIED, VIOLATED):
-            if state_field == "*":
-                report = globally_satisfies(model, expr)
-            else:
-                state = _resolve_state(model, None if state_field == "-" else state_field)
-                report = satisfies(model, state, expr)
-            if report.verdict == ERROR:
-                return False, f"error: {report.message}"
-            return report.verdict == expect, report.verdict
-        expected = parse_rational(expect)
-        if state_field == "*":
+        expected = None if expect in (SATISFIED, VIOLATED) else parse_rational(expect)
+        if state_field != "*":
+            state = _resolve_state(model, None if state_field == "-" else state_field)
+            report = satisfies(model, state, expr)
+        elif expected is None:
+            report = globally_satisfies(model, expr)
+        else:
             raise ParseError("a rational expectation needs a state, not '*'")
-        state = _resolve_state(model, None if state_field == "-" else state_field)
-        value = evaluate(model, state, expr)
-        if isinstance(value, RatV):
-            return value.value == expected, render_rational(value.value)
+        if report.verdict == ERROR:
+            return False, f"error: {report.message}"
+        if expected is None:
+            return report.verdict == expect, report.verdict
+        if report.details.get("kind") == "numeric":
+            return report.numeric == expected, render_rational(report.numeric)
         # a comparison formula can also pin a number: it must hold and the
         # probability recorded for its Q side must match
-        report = satisfies(model, state, expr)
         if report.numeric is None:
             return False, report.verdict
         got = f"{report.verdict}, {render_rational(report.numeric)}"
-        return (
-            report.verdict == SATISFIED and report.numeric == expected,
-            got,
-        )
+        return report.verdict == SATISFIED and report.numeric == expected, got
     except PtlError as exc:
         return False, f"error: {exc}"
 

@@ -11,9 +11,10 @@ is re-evaluated at other states. Q is its own node; @ is a special form on
 the application spine and must be fully applied. All arithmetic is exact;
 no floats anywhere.
 
-Connectives evaluate both operands (no short-circuiting): a disabled action
-inside a probability query is a modeling mistake and should surface as a
-DisabledAction error, not be masked by operand order.
+Connectives evaluate both operands and quantifiers every instance (no
+short-circuiting): a disabled action inside a probability query is a
+modeling mistake and should surface as a DisabledAction error, not be
+masked by operand order or by the order of a quantifier's domain.
 """
 
 from __future__ import annotations
@@ -398,7 +399,7 @@ def _builtin_value(model: Model, state: str, s: Symbol, expr: Expr) -> Value:
 def _quantifier_value(model: Model, state: str, q: str, expr: Expr) -> Value:
     def run(f: Value) -> Value:
         dom = _domain(model, _param_type(f, expr))
-        results = (_bool(apply_value(model, f, v)) for v in dom)
+        results = [_bool(apply_value(model, f, v)) for v in dom]
         return BoolV(all(results) if q == "forall" else any(results))
 
     return NativeV(run)

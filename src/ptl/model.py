@@ -117,13 +117,6 @@ class Frame:
         self.require(state)
         return self.transitions.get((state, action), ())
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Frame)
-            and self.states == other.states
-            and self.transitions == other.transitions
-        )
-
     def __hash__(self):
         return hash(self.states)
 
@@ -180,27 +173,6 @@ class Model:
                 seen.add(key)
                 out.append(_atom_expr(entry.atom, tuple(entry.args)))
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Model) and (
-            self.name,
-            self.frame,
-            self.objects,
-            self.initial,
-            self.atoms,
-            self.rigid,
-            self.actions,
-            self.valuation,
-        ) == (
-            other.name,
-            other.frame,
-            other.objects,
-            other.initial,
-            other.atoms,
-            other.rigid,
-            other.actions,
-            other.valuation,
-        )
 
     def __hash__(self):
         return hash((self.name, self.frame.states))

@@ -90,6 +90,10 @@ _PUNCT = [
     "~", "=", "<", ">", "+", "*", "/", "-", "@",
 ]
 
+# the binary connectives, loosest first; each groups to the right
+_CONNECTIVES = (("<->", IFF), ("->", IMP), ("\\/", OR), ("/\\", AND))
+_PREFIX_LEVEL = len(_CONNECTIVES)
+
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _DEC = re.compile(r"\d+\.\d+")
 _INT = re.compile(r"\d+")
@@ -192,36 +196,24 @@ class _Parser:
 
     # ----- formulas -----
 
-    def expr(self) -> Expr:
-        return self.iff()
-
-    def iff(self) -> Expr:
-        left = self.implies()
-        if self.at("<->"):
-            self.next()
-            return App(App(Sym(IFF), left), self.iff(), span=_sp(left))
-        return left
-
-    def implies(self) -> Expr:
-        left = self.or_()
-        if self.at("->"):
-            self.next()
-            return App(App(Sym(IMP), left), self.implies(), span=_sp(left))
-        return left
-
-    def or_(self) -> Expr:
-        left = self.and_()
-        if self.at("\\/"):
-            self.next()
-            return App(App(Sym(OR), left), self.or_(), span=_sp(left))
-        return left
-
-    def and_(self) -> Expr:
-        left = self.prefix()
-        if self.at("/\\"):
-            self.next()
-            return App(App(Sym(AND), left), self.and_(), span=_sp(left))
-        return left
+    def expr(self, level: int = 0) -> Expr:
+        """A formula whose operators bind no looser than
+        `_CONNECTIVES[level]`. A chain of one connective is read in a loop
+        and folded from the right, so its length is not bounded by the
+        recursion limit."""
+        if level == _PREFIX_LEVEL:
+            return self.prefix()
+        token, symbol = _CONNECTIVES[level]
+        left = self.expr(level + 1)
+        if not self.at(token):
+            return left
+        operands = [left]
+        while self.eat(token):
+            operands.append(self.expr(level + 1))
+        right = operands.pop()
+        for left in reversed(operands):
+            right = App(App(Sym(symbol), left), right, span=_sp(left))
+        return right
 
     def prefix(self) -> Expr:
         t = self.tok

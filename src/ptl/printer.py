@@ -59,8 +59,8 @@ def _print(e: Expr, level: int) -> str:
 
 def _render(e: Expr) -> tuple[str, int]:
     match e:
-        case RatLit(v):
-            return render_rational(v), APP
+        case RatLit(v):  # `p/q` reads as a division, so it binds like one
+            return render_rational(v), APP if v.denominator == 1 else MUL
         case Sym(s):
             if s.kind == "list" and s.name == "nil":
                 return "nil", APP

@@ -18,7 +18,8 @@ from ptl.checker import (
     globally_satisfies,
     satisfies,
 )
-from ptl.errors import LengthMismatch
+from ptl.errors import LengthMismatch, PtlError
+from ptl.evaluator import evaluate
 from ptl.values import GroundAction
 
 
@@ -73,6 +74,42 @@ def test_error_verdict_on_disabled_q(coin):
     report = satisfies(coin, "sh", parse("Q[toss(c)](heads(c)) = 1/2"))
     assert report.verdict == "error"
     assert "toss" in report.message
+
+
+def test_each_comparison_side_is_evaluated_once(coin, successor_calls):
+    report = satisfies(coin, "s0", parse("Q[toss(c)](heads(c)) = 1/2"))
+    assert report.details == {"lhs": "1/2", "rhs": "1/2"}
+    assert len(successor_calls) == 1
+    successor_calls.clear()
+    report = satisfies(
+        coin, "s0", parse("Q[toss(c)](heads(c)) < Q[toss(c)](tails(c))")
+    )
+    assert report.verdict == VIOLATED
+    assert report.details == {"lhs": "1/2", "rhs": "1/2"}
+    assert len(successor_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Q[toss(c); toss(c)](heads(c)) = Q[toss(c)](heads(c)) / 0",
+        "Q[toss(c)](heads(c)) / 0 = Q[toss(c); toss(c)](heads(c))",
+        "Q[toss(c)](heads(c)) / 0 < Q[toss(c); toss(c)](heads(c))",
+    ],
+)
+def test_a_comparison_reports_the_error_evaluate_raises_first(coin, text):
+    formula = parse(text)
+    with pytest.raises(PtlError) as raised:
+        evaluate(coin, "s0", formula)
+    report = satisfies(coin, "s0", formula)
+    assert report.verdict == ERROR
+    assert report.message == str(raised.value)
+
+
+def test_a_comparison_of_non_numbers_records_no_sides(twotoss):
+    report = satisfies(twotoss, "s0", parse("s0 = s0"))
+    assert report.verdict == SATISFIED
+    assert report.numeric is None and report.details == {}
 
 
 def test_globally_satisfies_reports_the_first_bad_state(twosucc):

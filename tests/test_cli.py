@@ -166,6 +166,15 @@ def test_check_violated_prints_the_comparison(capsys):
     assert "1/2" in out and "2/3" in out
 
 
+def test_check_evaluates_each_comparison_side_once(capsys, successor_calls):
+    code, out, _ = run(
+        capsys, "check", corpus_path("coin.ptlm"), "Q[toss(c)](heads(c)) = 1/2"
+    )
+    assert code == 0
+    assert "Q[toss(c)](heads(c)) = 1/2 = 1/2" in out
+    assert len(successor_calls) == 1
+
+
 def test_check_witness_locates_the_failure(capsys):
     code, out, _ = run(
         capsys,
@@ -350,6 +359,17 @@ def test_corpus_detects_a_tampered_expectation(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     assert "got 1/2" in out
+
+
+def test_corpus_rational_row_names_a_value_that_is_no_number(capsys, tmp_path):
+    (tmp_path / "coin.ptlm").write_text(corpus_text("coin.ptlm"))
+    (tmp_path / "f.ptl").write_text("def pred := lam x : obj . heads(x)\n")
+    (tmp_path / "manifest.txt").write_text(
+        "[coin] coin.ptlm f.ptl#pred - expect 1/2\n"
+    )
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert "FAIL [coin] coin.ptlm f.ptl#pred - expect 1/2 (got error: formula evaluated to " in out
 
 
 def test_corpus_malformed_row(capsys, tmp_path):

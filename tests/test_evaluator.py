@@ -14,6 +14,7 @@ import pytest
 from conftest import load_model
 
 from ptl import parse
+from ptl.checker import ERROR, VIOLATED, satisfies
 from ptl.errors import DisabledAction, DivisionByZero, EvalError, UnknownState
 from ptl.evaluator import eval_arith, eval_q, eval_q_trace, evaluate, truth
 from ptl.model import (
@@ -69,6 +70,31 @@ def test_connectives_do_not_short_circuit(coin):
     # conjunction even under 'false /\ ...'
     with pytest.raises(DisabledAction):
         holds(coin, "sh", "false /\\ Q[toss(c)](heads(c)) = 1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "forall w : state . @w (heads(c) /\\ Q[toss(c)](heads(c)) = 1/2)",
+        "exists w : state . @w (~ heads(c) \\/ Q[toss(c)](heads(c)) = 1/2)",
+    ],
+)
+def test_quantifiers_do_not_short_circuit(coin, text):
+    # the s0 instance already decides the value, but the sh instance is
+    # still evaluated, so its disabled Q surfaces whatever the domain order
+    with pytest.raises(DisabledAction):
+        holds(coin, "s0", text)
+    report = satisfies(coin, "s0", parse(text))
+    assert report.verdict == ERROR
+    assert report.message == "action toss(c) has no transitions at state sh"
+
+
+def test_the_witness_names_the_first_failing_instance(coin):
+    report = satisfies(coin, "s0", parse("forall w : state . @w in(s0)"))
+    assert report.verdict == VIOLATED
+    assert report.witness["trail"][0] == {
+        "step": "instantiate", "var": "w", "value": "sh"
+    }
 
 
 def test_hybrid_state_test(twotoss):

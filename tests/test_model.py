@@ -1,5 +1,6 @@
 """Model validation: stochastic frames, valuations, and rigid symbols."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from ptl.errors import (
     UnknownState,
 )
 from ptl.model import (
+    Frame,
     ModelSpec,
     SymbolDecl,
     TransitionDecl,
@@ -252,3 +254,17 @@ def test_serialize_is_stable(coin):
     text = serialize_model(coin)
     again = serialize_model(validate_model(parse_model(text, source="again")))
     assert text == again
+
+
+def test_equal_text_gives_equal_models_and_hashes():
+    text = corpus_text("coin.ptlm")
+    a, b = (validate_model(parse_model(text, source=src)) for src in ("a", "b"))
+    assert a == b and a.frame == b.frame
+    assert hash(a) == hash(b) and hash(a.frame) == hash(b.frame)
+    (key, ((first, _), *rest)), = a.frame.transitions.items()
+    moved = {key: ((first, Fraction(2, 3)), *rest)}
+    other = dataclasses.replace(a, frame=Frame(a.states, moved))
+    assert other.frame != a.frame and other != a
+    relabelled = corpus_text("coin.ptlm").replace("st : tails(c)", "st : heads(c)")
+    other = validate_model(parse_model(relabelled))
+    assert other.frame == a.frame and other != a

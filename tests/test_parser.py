@@ -8,6 +8,8 @@ preserved exactly.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, corpus_text
 
@@ -18,11 +20,33 @@ from ptl.parser import parse_rational, parse_type
 from ptl.printer import print_formula
 from ptl.syntax import (
     ACTION,
+    AND,
+    AT,
     BOOL,
+    BOT,
+    CONS,
+    DIFF,
+    DIV,
+    EQ,
+    EXISTS,
+    FORALL,
+    IFF,
+    IMP,
+    IN_STATE,
+    LENGTH,
+    LT,
+    MEMBER,
+    NIL,
+    NOT,
     NUM,
     OBJ,
+    OR,
+    PLUS,
     PROP,
     STATE,
+    TIMES,
+    TOP,
+    App,
     Arrow,
     Box,
     Diamond,
@@ -32,7 +56,9 @@ from ptl.syntax import (
     Q,
     RatLit,
     Sym,
+    Symbol,
     alpha_eq,
+    app,
     desugar,
     spine,
 )
@@ -60,6 +86,10 @@ MODEL_FILES = [
     "twosucc.ptlm",
     "montyhall.ptlm",
 ]
+
+
+BINDER_TYPES = [BOOL, OBJ, STATE, NUM, PROP, ACTION, Arrow(OBJ, PROP), ListT(OBJ)]
+BINARY = [AND, OR, IMP, IFF, EQ, LT, PLUS, TIMES, DIV, CONS, DIFF, MEMBER]
 
 
 def round_trips(text):
@@ -121,6 +151,31 @@ def test_implication_is_right_associative():
     _, args = spine(e)
     inner_head, _ = spine(args[1])
     assert inner_head.symbol.name == "->"
+
+
+@pytest.mark.parametrize("op", ["<->", "->", "\\/", "/\\"])
+def test_a_5000_operand_chain_parses_to_a_right_nested_spine(op):
+    n = 5000
+    e = parse_formula(f" {op} ".join(f"p{i}" for i in range(n)))
+    for i in range(n - 1):
+        head, (left, e) = spine(e)
+        assert head.symbol.name == op
+        assert left.symbol.name == f"p{i}"
+    assert e.symbol.name == f"p{n - 1}"
+
+
+def test_each_connective_node_carries_its_left_operands_span():
+    e = parse_formula("p /\\ q /\\ r")
+    _, (p, rest) = spine(e)
+    _, (q, r) = spine(rest)
+    assert (e.span, rest.span) == (p.span, q.span)
+    assert (p.span.column, q.span.column, r.span.column) == (1, 6, 11)
+
+
+def test_a_fraction_right_of_times_or_divide_keeps_its_parentheses():
+    for text in ("Q[t](H) * (1/2)", "Q[t](H) / (1/2)"):
+        assert print_formula(parse(text)) == text
+        assert round_trips(text)
 
 
 def test_q_brackets_take_action_sequence():
@@ -306,6 +361,59 @@ def test_rationals_survive_round_trips_exactly():
 )
 def test_assorted_forms_round_trip(text):
     assert round_trips(text)
+
+
+@st.composite
+def core_terms(draw, scope=(), depth=4):
+    """Desugared terms the surface grammar can express: nonnegative
+    literals, typed binders, bound variables only under their binder
+    (named by depth, so none is shadowed), and no division of two
+    literals, which the parser folds into one literal."""
+    if depth == 0 or draw(st.integers(0, 4)) == 0:
+        if draw(st.booleans()):
+            return RatLit(draw(st.fractions(min_value=0, max_denominator=12)))
+        names = [Symbol(n) for n in ("p", "q", "f", "s")] + [TOP, BOT, NIL, *scope]
+        return Sym(draw(st.sampled_from(names)))
+    sub = core_terms(scope, depth - 1)
+    kind = draw(st.integers(0, 8))
+    if kind == 0:
+        op = draw(st.sampled_from(BINARY))
+        left, right = draw(sub), draw(sub)
+        if op == DIV and isinstance(left, RatLit) and isinstance(right, RatLit):
+            left = Sym(Symbol("p"))
+        return app(Sym(op), left, right)
+    if kind == 1:
+        return App(Sym(draw(st.sampled_from([NOT, IN_STATE, LENGTH]))), draw(sub))
+    if kind == 2:
+        param = Symbol(f"x{len(scope)}", draw(st.sampled_from(BINDER_TYPES)), "var")
+        lam = Lam(param, draw(core_terms(scope + (param,), depth - 1)))
+        shape = draw(st.sampled_from(["lam", "apply", FORALL, EXISTS]))
+        if shape == "lam":
+            return lam
+        if shape == "apply":
+            return app(lam, *draw(st.lists(sub, min_size=1, max_size=2)))
+        return App(Sym(shape), lam)
+    if kind == 3:
+        head = draw(st.sampled_from([Sym(Symbol("f")), *(Sym(v) for v in scope)]))
+        return app(head, *draw(st.lists(sub, min_size=1, max_size=2)))
+    if kind == 4:
+        state = draw(st.sampled_from([Sym(Symbol("s")), *(Sym(v) for v in scope)]))
+        return app(Sym(AT), state, draw(sub))
+    if kind == 5:
+        return Box(draw(sub), draw(sub))
+    if kind == 6:
+        return Diamond(draw(sub), draw(sub))
+    if kind == 7:
+        return DiamondAnn(draw(sub), draw(sub), draw(sub))
+    actions = tuple(draw(st.lists(sub, max_size=3)))
+    n_props = len(actions) if actions and draw(st.booleans()) else 1
+    return Q(actions, tuple(draw(sub) for _ in range(n_props)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_terms())
+def test_printing_then_parsing_gives_back_the_term(term):
+    assert alpha_eq(parse(print_formula(term)), term)
 
 
 # ---------- model text ----------
