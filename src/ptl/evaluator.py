@@ -11,10 +11,11 @@ is re-evaluated at other states. Q is its own node; @ is a special form on
 the application spine and must be fully applied. All arithmetic is exact;
 no floats anywhere.
 
-Connectives evaluate both operands and quantifiers every instance (no
-short-circuiting): a disabled action inside a probability query is a
-modeling mistake and should surface as a DisabledAction error, not be
-masked by operand order or by the order of a quantifier's domain.
+Connectives evaluate both operands, quantifiers every instance and modal
+nodes their body at every successor (no short-circuiting): a disabled
+action inside a probability query is a modeling mistake and should surface
+as a DisabledAction error, not be masked by operand order, by the order of
+a quantifier's domain or by the order of successors.
 """
 
 from __future__ import annotations
@@ -86,18 +87,16 @@ def _eval(model: Model, state: str, expr: Expr, env: Env) -> Value:
         case Box(action_e, body):
             ga = _ground_action(model, state, action_e, env)
             succ = model.frame.successors(state, ga)
-            return BoolV(all(_truth(model, w, body, env) for w, _ in succ))
+            return BoolV(all([_truth(model, w, body, env) for w, _ in succ]))
         case Diamond(action_e, body):
             ga = _ground_action(model, state, action_e, env)
             succ = model.frame.successors(state, ga)
-            return BoolV(any(_truth(model, w, body, env) for w, _ in succ))
+            return BoolV(any([_truth(model, w, body, env) for w, _ in succ]))
         case DiamondAnn(action_e, prob_e, body):
             ga = _ground_action(model, state, action_e, env)
             p = _rational(model, state, prob_e, env)
             succ = model.frame.successors(state, ga)
-            return BoolV(
-                any(rho == p and _truth(model, w, body, env) for w, rho in succ)
-            )
+            return BoolV(any([_truth(model, w, body, env) for w, rho in succ if rho == p]))
         case Q(actions, props):
             return RatV(_q(model, state, actions, props, env))
         case App():

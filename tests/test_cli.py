@@ -175,6 +175,44 @@ def test_check_evaluates_each_comparison_side_once(capsys, successor_calls):
     assert len(successor_calls) == 1
 
 
+MODAL_BRANCH = """model branch
+states s0 s1 s2
+initial s0
+actions
+  a : action
+  b : action
+types
+  p : prop
+  q : prop
+transitions
+  s0 --a--> s1 @ 1/2
+  s0 --a--> s2 @ 1/2
+  s1 --b--> s1 @ 1
+valuation
+  s0 : p
+  s1 : q
+"""
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        "box[a] (p /\\ Q[b](q) = 1)",
+        "dia[a] (q \\/ Q[b](q) = 1)",
+        "dia[a]{1/2} (q \\/ Q[b](q) = 1)",
+    ],
+    ids=["box", "dia", "dia-p"],
+)
+def test_modal_nodes_evaluate_the_body_at_every_successor(capsys, tmp_path, formula):
+    # s1 already decides each value, but the body is still evaluated at
+    # s2, where b is disabled
+    path = tmp_path / "branch.ptlm"
+    path.write_text(MODAL_BRANCH)
+    code, out, err = run(capsys, "check", str(path), formula)
+    assert code == 3
+    assert "action b has no transitions at state s2" in out + err
+
+
 def test_check_witness_locates_the_failure(capsys):
     code, out, _ = run(
         capsys,
