@@ -98,7 +98,7 @@ def satisfies(model: Model, state: str, formula: Expr) -> CheckReport:
             rel, lhs, rhs = sides
             op = evaluate(model, state, rel)
             lv, rv = evaluate(model, state, lhs), evaluate(model, state, rhs)
-            value = apply_value(model, apply_value(model, op, lv), rv)
+            value = apply_value(apply_value(op, lv), rv)
     except PtlError as exc:
         return _error_report(exc)
     if isinstance(value, RatV):

@@ -4,24 +4,31 @@ Everything is interpreted at the current state: flexible symbols (atoms and
 the probability operator) consult it, rigid symbols ignore it, and the modal
 nodes plus @ shift it for their bodies. Lambdas capture the state where they
 are interpreted, so a function value keeps denoting the same function even
-if it flows across a modality.
+if it flows across a modality. Q and @ are intensional: their proposition
+argument is re-evaluated at other states; @ is a special form on the
+application spine and must be fully applied. All arithmetic is exact.
 
-The probability operator and @ are intensional: their proposition argument
-is re-evaluated at other states. Q is its own node; @ is a special form on
-the application spine and must be fully applied. All arithmetic is exact;
-no floats anywhere.
+Each entry call compiles its term once (`compile_expr`) into a closure
+`run(state, env) -> Value`, then runs it. Compiling settles what the model
+fixes before any state is visited: each symbol's meaning, which
+applications fully apply a builtin (these call its n-ary function in
+`_BUILTINS`), and whether the term reads the current state. It raises
+nothing: an unknown symbol, a bare @, a missing builtin or an unenumerable
+domain raises when its node runs, so a body that never runs (under a box
+over a disabled action, in a dropped Q cell) raises nothing.
 
 Connectives evaluate both operands, quantifiers every instance and modal
 nodes their body at every successor (no short-circuiting): a disabled
 action inside a probability query is a modeling mistake and should surface
-as a DisabledAction error, not be masked by operand order, by the order of
-a quantifier's domain or by the order of successors.
+as a DisabledAction error, not be masked by the order of operands,
+instances or successors.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     DisabledAction,
@@ -45,8 +52,8 @@ from .syntax import (
     Q,
     RatLit,
     Sym,
-    Symbol,
     Type,
+    spine,
 )
 from .values import (
     FALSE,
@@ -68,112 +75,197 @@ from .values import (
 from .model import Model
 
 Env = dict[str, Value]
+Code = Callable[[str, Env], Value]
 
 
 def evaluate(model: Model, state: str, expr: Expr, env: Env | None = None) -> Value:
     """Interpret a desugared, well-typed expression at a state."""
     model.frame.require(state)
-    return _eval(model, state, expr, env or {})
+    return compile_expr(model, expr)[0](state, env or {})
 
 
-def _eval(model: Model, state: str, expr: Expr, env: Env) -> Value:
-    match expr:
-        case RatLit(v):
-            return RatV(v)
-        case Sym(s):
-            return _symbol_value(model, state, s, env, expr)
-        case Lam(param, body):
-            return ClosureV(param, body, dict(env), state)
-        case Box(action_e, body):
-            ga = _ground_action(model, state, action_e, env)
-            succ = model.frame.successors(state, ga)
-            return BoolV(all([_truth(model, w, body, env) for w, _ in succ]))
-        case Diamond(action_e, body):
-            ga = _ground_action(model, state, action_e, env)
-            succ = model.frame.successors(state, ga)
-            return BoolV(any([_truth(model, w, body, env) for w, _ in succ]))
-        case DiamondAnn(action_e, prob_e, body):
-            ga = _ground_action(model, state, action_e, env)
-            p = _rational(model, state, prob_e, env)
-            succ = model.frame.successors(state, ga)
-            return BoolV(any([_truth(model, w, body, env) for w, rho in succ if rho == p]))
-        case Q(actions, props):
-            return RatV(_q(model, state, actions, props, env))
-        case App():
-            return _apply_expr(model, state, expr, env)
-    raise EvalError(f"cannot evaluate {type(expr).__name__}; desugar first")
-
-
-def state_independent(model: Model, expr: Expr) -> bool:
-    """True when `_eval` gives expr the same value, or raises the same
-    error, at every state. Only atoms, `in`, the modal nodes and Q read
-    the current state; `@` moves its body to a state of its own, closures
-    run at their captured state, and quantifier domains and rigid values
-    are plain data. A sufficient test, not a complete one."""
-    match expr:
-        case RatLit():
-            return True
-        case Sym(s):
-            return not (
-                (s.kind == "free" and s.name in model.atoms)
-                or (s.kind == "hybrid" and s.name == "in")
-            )
-        case App(App(Sym(Symbol("@", _, "hybrid")), state_e), _):
-            return state_independent(model, state_e)
-        case App(fn, arg):
-            return state_independent(model, fn) and state_independent(model, arg)
-        case Lam(_, body):
-            return state_independent(model, body)
-    return False  # Box, Diamond, DiamondAnn, Q, and undesugared nodes
-
-
-def _apply_expr(model: Model, state: str, expr: App, env: Env) -> Value:
-    # intensional special forms first: their proposition argument is
-    # evaluated at other states, not here
-    match expr:
-        case App(App(Sym(Symbol("@", _, "hybrid")), state_e), body):
-            v = _eval(model, state, state_e, env)
-            if not isinstance(v, StateV):
-                raise EvalError(f"@ needs a state, got {render_value(v)}")
-            model.frame.require(v.name)
-            return _eval(model, v.name, body, env)
-        case App(Sym(Symbol("@", _, "hybrid")), _):
-            raise EvalError("'@' must be fully applied")
-    fn = _eval(model, state, expr.fn, env)
-    arg = _eval(model, state, expr.arg, env)
-    return apply_value(model, fn, arg)
-
-
-def apply_value(model: Model, fn: Value, arg: Value) -> Value:
-    match fn:
-        case ClosureV(param, body, cenv, cstate):
-            inner = dict(cenv)
-            inner[param.name] = arg
-            return _eval(model, cstate, body, inner)
-        case NativeV(f):
-            return f(arg)
-    raise EvalError(f"{render_value(fn)} is not a function")
-
-
-def _truth(model: Model, state: str, expr: Expr, env: Env) -> bool:
-    v = _eval(model, state, expr, env)
-    if not isinstance(v, BoolV):
-        raise EvalError(f"expected a truth value, got {render_value(v)}")
-    return v.value
-
-
-def _rational(model: Model, state: str, expr: Expr, env: Env) -> Fraction:
-    v = _eval(model, state, expr, env)
-    if not isinstance(v, RatV):
-        raise EvalError(f"expected a number, got {render_value(v)}")
-    return v.value
+def truth(model: Model, state: str, expr: Expr, env: Env | None = None) -> bool:
+    """Convenience: evaluate a proposition to a Python bool."""
+    return _bool(evaluate(model, state, expr, env))
 
 
 def eval_arith(model: Model, state: str, expr: Expr, env: Env | None = None) -> Fraction:
     """Evaluate a numeric expression (arithmetic over probability queries
     included) to an exact rational."""
-    model.frame.require(state)
-    return _rational(model, state, expr, env or {})
+    return _num(evaluate(model, state, expr, env))
+
+
+def state_independent(model: Model, expr: Expr) -> bool:
+    """True when expr has the same value, or raises the same error, at
+    every state; see `compile_expr`."""
+    return compile_expr(model, expr)[1]
+
+
+def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
+    """The closure `run(state, env)` that evaluates expr, and the fact
+    `independent`. Only atoms, `in`, the modal nodes and Q read the
+    current state; @ moves its body to a state of its own, closures run at
+    their captured state, and quantifier domains and rigid values are
+    plain data. So `independent` holds when every such read sits under @:
+    a sufficient test, not a complete one."""
+    match expr:
+        case RatLit(v):
+            value = RatV(v)
+            return (lambda state, env: value), True
+        case Sym(s):
+            return _compile_symbol(model, s.name, s.kind, expr.span)
+        case Lam(param, body):
+            code, independent = compile_expr(model, body)
+            return (lambda state, env: ClosureV(param, code, dict(env), state)), independent
+        case Box(action_e, body) | Diamond(action_e, body) | DiamondAnn(action_e, _, body):
+            prob = compile_expr(model, expr.prob)[0] if isinstance(expr, DiamondAnn) else None
+            return _modal(model, compile_expr(model, action_e)[0], prob,
+                          compile_expr(model, body)[0], isinstance(expr, Box)), False
+        case Q(actions, props):
+            acts = [compile_expr(model, a)[0] for a in actions]
+            tests = [compile_expr(model, p)[0] for p in props]
+            return (lambda state, env: RatV(_q(model, state, acts, tests, env))), False
+        case App():
+            head, args = spine(expr)
+            codes, facts = [], []
+            for arg in args:  # a loop, not a comprehension: one frame per nesting level
+                code, fact = compile_expr(model, arg)
+                codes.append(code)
+                facts.append(fact)
+            key = (head.symbol.name, head.symbol.kind) if isinstance(head, Sym) else None
+            if key == ("@", "hybrid"):
+                if len(codes) == 1:
+                    return _fail(EvalError, "'@' must be fully applied"), facts[0]
+                at = _at(model, codes[0], codes[1])
+                return _applied(at, codes[2:]), facts[0] and all(facts[2:])
+            arity, fn = _BUILTINS.get(key, (0, None))
+            if 0 < arity <= len(codes):
+                call = _call(model, fn, head.span, codes[:arity])
+                independent = key != ("in", "hybrid") and all(facts)
+                return _applied(call, codes[arity:]), independent
+            run, independent = compile_expr(model, head)
+            return _applied(run, codes), independent and all(facts)
+    return _fail(EvalError, f"cannot evaluate {type(expr).__name__}; desugar first"), False
+
+
+def _fail(cls: type[Exception], *args) -> Code:
+    def run(state: str, env: Env) -> Value:
+        raise cls(*args)
+
+    return run
+
+
+def _compile_symbol(model: Model, name: str, kind: str, span) -> tuple[Code, bool]:
+    if kind not in ("var", "free"):
+        builtin = _BUILTINS.get((name, kind))
+        if builtin is None:
+            return _fail(EvalError, f"builtin '{name}' has no direct denotation", span), True
+        arity, fn = builtin
+        if not arity:
+            value = fn(model, "", span)
+            return (lambda state, env: value), True
+        curried = lambda state, env: _curry(arity, partial(fn, model, state, span))
+        return curried, (name, kind) != ("in", "hybrid")
+    # the parser resolves scopes, but envs from callers win over the model
+    if kind == "free" and name in model.atoms:
+        return partial(_atom, model, name, len(model.atoms[name])), False
+    value = _free_value(model, name) if kind == "free" else None
+    if value is not None:
+        return (lambda state, env: env.get(name, value)), True
+    message = (f"variable '{name}' is not bound" if kind == "var"
+               else f"'{name}' has no interpretation in model {model.name}")
+
+    def lookup(state: str, env: Env) -> Value:
+        if name in env:
+            return env[name]
+        raise UnboundVariable(message, span)
+
+    return lookup, True
+
+
+def _atom(model: Model, name: str, arity: int, state: str, env: Env) -> Value:
+    if name in env:
+        return env[name]
+    if not arity:
+        return BoolV(model.holds(state, name))
+    return _curry(arity, lambda *args: BoolV(
+        model.holds(state, name, tuple(map(atom_arg_key, args)))
+    ))
+
+
+def _free_value(model: Model, name: str) -> Value | None:
+    """The state-free meaning of a declared non-atom symbol, else None."""
+    if name in model.actions:
+        arity = model.actions[name]
+        if arity == 0:
+            return ActionV(GroundAction(name))
+        return _curry(arity, lambda *args: ActionV(
+            GroundAction(name, tuple(map(_object_name, args)))
+        ))
+    if name in model.rigid:
+        return model.rigid[name][1]
+    if name in model.objects:
+        return ObjV(name)
+    if name in model.states:
+        return StateV(name)
+    return None
+
+
+def _modal(model: Model, action: Code, prob: Code | None, body: Code, box: bool) -> Code:
+    """box, dia, or with prob dia{p}: the body at every successor (every
+    edge of probability p), then combined."""
+    def run(state: str, env: Env) -> BoolV:
+        ga = _action(action(state, env))
+        p = None if prob is None else _num(prob(state, env))
+        succ = model.frame.successors(state, ga)
+        results = [_bool(body(w, env)) for w, rho in succ if p is None or rho == p]
+        return BoolV(all(results) if box else any(results))
+
+    return run
+
+
+def _at(model: Model, where: Code, body: Code) -> Code:
+    def run(state: str, env: Env) -> Value:
+        v = where(state, env)
+        if not isinstance(v, StateV):
+            raise EvalError(f"@ needs a state, got {render_value(v)}")
+        model.frame.require(v.name)
+        return body(v.name, env)
+
+    return run
+
+
+def _call(model: Model, fn, span, codes: list[Code]) -> Code:
+    """A fully applied builtin: its operands left to right, then fn."""
+    if len(codes) == 1:
+        (a,) = codes
+        return lambda state, env: fn(model, state, span, a(state, env))
+    a, b = codes
+    return lambda state, env: fn(model, state, span, a(state, env), b(state, env))
+
+
+def _applied(run: Code, codes: list[Code]) -> Code:
+    """run's value applied to each argument in turn, each argument
+    evaluated just before its application."""
+    if not codes:
+        return run
+
+    def applied(state: str, env: Env) -> Value:
+        v = run(state, env)
+        for code in codes:
+            v = apply_value(v, code(state, env))
+        return v
+
+    return applied
+
+
+def apply_value(fn: Value, arg: Value) -> Value:
+    match fn:
+        case ClosureV(param, body, cenv, cstate):
+            return body(cstate, {**cenv, param.name: arg})
+        case NativeV(f):
+            return f(arg)
+    raise EvalError(f"{render_value(fn)} is not a function")
 
 
 # ---------- the probability operator ----------
@@ -193,7 +285,7 @@ def eval_q(
     silently treating it as probability 0 would mask modeling mistakes.
     """
     model.frame.require(state)
-    return _q(model, state, actions, (prop,), env)
+    return _q(model, state, actions, (compile_expr(model, prop)[0],), env)
 
 
 def eval_q_trace(
@@ -206,14 +298,15 @@ def eval_q_trace(
     """Trace probability: the chance that each proposition holds right
     after its own action. Base case: the empty trace has probability 1."""
     model.frame.require(state)
-    return _q(model, state, actions, props, env, trace=True)
+    acts = [a if isinstance(a, GroundAction) else compile_expr(model, a)[0] for a in actions]
+    return _q(model, state, acts, [compile_expr(model, p)[0] for p in props], env, trace=True)
 
 
 def _q(
     model: Model,
     state: str,
-    actions: Sequence[Expr | GroundAction],
-    props: Sequence[Expr],
+    actions: Sequence[Code | GroundAction],
+    props: Sequence[Code],
     env: Env | None,
     trace: bool = False,
 ) -> Fraction:
@@ -241,12 +334,12 @@ def _q(
     def open_cell(w: str, i: int) -> int | Sequence[tuple[str, Fraction]]:
         """The 0/1 value of a cell that needs no successors, else its
         successors."""
-        if i >= first and not _truth(model, w, props[i - first], env):
+        if i >= first and not _bool(props[i - first](w, env)):
             return 0
         if i == k:
             return 1
         act = actions[i]
-        ga = act if isinstance(act, GroundAction) else _ground_action(model, w, act, env)
+        ga = act if isinstance(act, GroundAction) else _action(act(w, env))
         succ = successors(w, ga)
         if not succ:
             raise DisabledAction(w, ga)
@@ -282,52 +375,16 @@ def _q(
 
 
 def _ground_action(model: Model, state: str, expr: Expr, env: Env) -> GroundAction:
-    v = _eval(model, state, expr, env)
+    return _action(compile_expr(model, expr)[0](state, env))
+
+
+def _action(v: Value) -> GroundAction:
     if not isinstance(v, ActionV):
         raise EvalError(f"expected an action, got {render_value(v)}")
     return v.action
 
 
-# ---------- symbol denotations ----------
-
-
-def _symbol_value(model: Model, state: str, s: Symbol, env: Env, expr: Expr) -> Value:
-    if s.kind == "var":
-        if s.name not in env:
-            raise UnboundVariable(f"variable '{s.name}' is not bound", expr.span)
-        return env[s.name]
-    if s.kind == "free":
-        return _free_value(model, state, s.name, env, expr)
-    return _builtin_value(model, state, s, expr)
-
-
-def _free_value(model: Model, state: str, name: str, env: Env, expr: Expr) -> Value:
-    if name in env:  # parser resolves scopes, but envs from callers win
-        return env[name]
-    if name in model.atoms:
-        arg_types = model.atoms[name]
-        if not arg_types:
-            return BoolV(model.holds(state, name))
-        return _curry(
-            len(arg_types),
-            lambda args: BoolV(
-                model.holds(state, name, tuple(atom_arg_key(a) for a in args))
-            ),
-        )
-    if name in model.actions:
-        arity = model.actions[name]
-        if arity == 0:
-            return ActionV(GroundAction(name))
-        return _curry(arity, lambda args: ActionV(
-            GroundAction(name, tuple(_object_name(a) for a in args))
-        ))
-    if name in model.rigid:
-        return model.rigid[name][1]
-    if name in model.objects:
-        return ObjV(name)
-    if name in model.states:
-        return StateV(name)
-    raise UnboundVariable(f"'{name}' has no interpretation in model {model.name}", expr.span)
+# ---------- builtins ----------
 
 
 def _object_name(v: Value) -> str:
@@ -337,77 +394,21 @@ def _object_name(v: Value) -> str:
 
 
 def _curry(arity: int, fin, collected: tuple[Value, ...] = ()) -> Value:
+    """A function of arity arguments as a value: one NativeV per argument."""
     def step(v: Value) -> Value:
         args = collected + (v,)
         if len(args) == arity:
-            return fin(args)
+            return fin(*args)
         return _curry(arity, fin, args)
 
     return NativeV(step)
 
 
-def _builtin_value(model: Model, state: str, s: Symbol, expr: Expr) -> Value:
-    match (s.name, s.kind):
-        case ("true", "logical"):
-            return TRUE
-        case ("false", "logical"):
-            return FALSE
-        case ("~", "logical"):
-            return NativeV(lambda a: BoolV(not _bool(a)))
-        case ("/\\", "logical"):
-            return _binop(lambda a, b: BoolV(_bool(a) and _bool(b)))
-        case ("\\/", "logical"):
-            return _binop(lambda a, b: BoolV(_bool(a) or _bool(b)))
-        case ("->", "logical"):
-            return _binop(lambda a, b: BoolV((not _bool(a)) or _bool(b)))
-        case ("<->", "logical"):
-            return _binop(lambda a, b: BoolV(_bool(a) == _bool(b)))
-        case ("=", "rel"):
-            return _binop(lambda a, b: BoolV(values_equal(a, b)))
-        case ("<", "rel"):
-            return _binop(lambda a, b: BoolV(_num(a) < _num(b)))
-        case ("+", "arith"):
-            return _binop(lambda a, b: RatV(_num(a) + _num(b)))
-        case ("*", "arith"):
-            return _binop(lambda a, b: RatV(_num(a) * _num(b)))
-        case ("/", "arith"):
-            return _binop(_divide)
-        case ("nil", "list"):
-            return ListV(())
-        case ("::", "list"):
-            return _binop(lambda a, b: ListV((a,) + _list(b)))
-        case ("in", "list"):
-            return _binop(
-                lambda a, b: BoolV(any(values_equal(a, x) for x in _list(b)))
-            )
-        case ("|.|", "list"):
-            return NativeV(lambda a: RatV(Fraction(len(_list(a)))))
-        case ("-", "list"):
-            return _binop(
-                lambda a, b: ListV(
-                    tuple(x for x in _list(a) if not values_equal(x, b))
-                )
-            )
-        case ("in", "hybrid"):
-            return NativeV(lambda v: BoolV(isinstance(v, StateV) and v.name == state))
-        case (("forall" | "exists") as q, "quant"):
-            return _quantifier_value(model, state, q, expr)
-    raise EvalError(f"builtin '{s.name}' has no direct denotation", expr.span)
-
-
-def _quantifier_value(model: Model, state: str, q: str, expr: Expr) -> Value:
-    def run(f: Value) -> Value:
-        dom = _domain(model, _param_type(f, expr))
-        results = [_bool(apply_value(model, f, v)) for v in dom]
-        return BoolV(all(results) if q == "forall" else any(results))
-
-    return NativeV(run)
-
-
-def _param_type(f: Value, expr: Expr) -> Type:
-    if isinstance(f, ClosureV) and f.param.type is not None:
-        return f.param.type
-    raise EvalError("quantifier needs a lambda with a typed binder", expr.span)
+def _instances(model: Model, span, f: Value) -> list[bool]:
+    """A quantifier's predicate at every member of its domain, in order."""
+    if not (isinstance(f, ClosureV) and f.param.type is not None):
+        raise EvalError("quantifier needs a lambda with a typed binder", span)
+    return [_bool(apply_value(f, v)) for v in _domain(model, f.param.type)]
 
 
 def _domain(model: Model, ty: Type) -> list[Value]:
@@ -418,10 +419,6 @@ def _domain(model: Model, ty: Type) -> list[Value]:
     if ty == STATE:
         return [StateV(w) for w in model.states]
     raise UnenumerableQuantifier(f"cannot enumerate the domain of {ty}")
-
-
-def _binop(f) -> Value:
-    return NativeV(lambda a: NativeV(lambda b: f(a, b)))
 
 
 def _bool(v: Value) -> bool:
@@ -449,10 +446,32 @@ def _divide(a: Value, b: Value) -> Value:
     return RatV(_num(a) / d)
 
 
-def truth(model: Model, state: str, expr: Expr, env: Env | None = None) -> bool:
-    """Convenience: evaluate a proposition to a Python bool."""
-    model.frame.require(state)
-    return _truth(model, state, expr, env or {})
+# (name, kind) -> (arity, fn); fn(model, state, span, *operands) gets the
+# state the builtin is applied at and the span of its symbol
+_BUILTINS: dict[tuple[str, str], tuple[int, Callable[..., Value]]] = {
+    ("true", "logical"): (0, lambda m, w, sp: TRUE),
+    ("false", "logical"): (0, lambda m, w, sp: FALSE),
+    ("~", "logical"): (1, lambda m, w, sp, a: BoolV(not _bool(a))),
+    ("/\\", "logical"): (2, lambda m, w, sp, a, b: BoolV(_bool(a) and _bool(b))),
+    ("\\/", "logical"): (2, lambda m, w, sp, a, b: BoolV(_bool(a) or _bool(b))),
+    ("->", "logical"): (2, lambda m, w, sp, a, b: BoolV((not _bool(a)) or _bool(b))),
+    ("<->", "logical"): (2, lambda m, w, sp, a, b: BoolV(_bool(a) == _bool(b))),
+    ("=", "rel"): (2, lambda m, w, sp, a, b: BoolV(values_equal(a, b))),
+    ("<", "rel"): (2, lambda m, w, sp, a, b: BoolV(_num(a) < _num(b))),
+    ("+", "arith"): (2, lambda m, w, sp, a, b: RatV(_num(a) + _num(b))),
+    ("*", "arith"): (2, lambda m, w, sp, a, b: RatV(_num(a) * _num(b))),
+    ("/", "arith"): (2, lambda m, w, sp, a, b: _divide(a, b)),
+    ("nil", "list"): (0, lambda m, w, sp: ListV(())),
+    ("::", "list"): (2, lambda m, w, sp, a, b: ListV((a,) + _list(b))),
+    ("in", "list"): (2, lambda m, w, sp, a, b: BoolV(any(values_equal(a, x) for x in _list(b)))),
+    ("|.|", "list"): (1, lambda m, w, sp, a: RatV(Fraction(len(_list(a))))),
+    ("-", "list"): (2, lambda m, w, sp, a, b: ListV(
+        tuple(x for x in _list(a) if not values_equal(x, b))
+    )),
+    ("in", "hybrid"): (1, lambda m, w, sp, v: BoolV(isinstance(v, StateV) and v.name == w)),
+    ("forall", "quant"): (1, lambda m, w, sp, f: BoolV(all(_instances(m, sp, f)))),
+    ("exists", "quant"): (1, lambda m, w, sp, f: BoolV(any(_instances(m, sp, f)))),
+}
 
 
 def describe(expr: Expr) -> str:
