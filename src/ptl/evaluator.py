@@ -1,15 +1,14 @@
 """Evaluation of well-typed terms against a model and a current state.
 
 Everything is interpreted at the current state: flexible symbols (atoms and
-the probability operator) consult it, rigid symbols ignore it, and the modal
-nodes plus @ shift it for their bodies. Lambdas capture the state where they
+Q) consult it, rigid symbols ignore it, and the modal nodes plus @ shift it
+for their bodies. Q and @ re-evaluate their proposition argument at other
+states, and @ must be fully applied. Lambdas capture the state where they
 are interpreted, so a function value keeps denoting the same function even
-if it flows across a modality. Q and @ are intensional: their proposition
-argument is re-evaluated at other states; @ is a special form on the
-application spine and must be fully applied. All arithmetic is exact.
+if it flows across a modality. All arithmetic is exact.
 
 Each entry call compiles its term once (`compile_expr`) into a closure
-`run(state, env) -> Value`, then runs it. Compiling settles what the model
+`run(state, env) -> Value` and runs it. Compiling settles what the model
 fixes before any state is visited: each symbol's meaning, which
 applications fully apply a builtin (these call its n-ary function in
 `_BUILTINS`), and whether the term reads the current state. It raises
@@ -127,24 +126,22 @@ def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
             return (lambda state, env: RatV(_q(model, state, acts, tests, env))), False
         case App():
             head, args = spine(expr)
-            codes, facts = [], []
-            for arg in args:  # a loop, not a comprehension: one frame per nesting level
+            run, independent = compile_expr(model, head)
+            key = (head.symbol.name, head.symbol.kind) if isinstance(head, Sym) else None
+            codes = []
+            for i, arg in enumerate(args):  # a loop: a comprehension adds a frame per level
                 code, fact = compile_expr(model, arg)
                 codes.append(code)
-                facts.append(fact)
-            key = (head.symbol.name, head.symbol.kind) if isinstance(head, Sym) else None
+                # @ moves its body, the second argument, to a state of its own
+                independent = independent and (fact or (key == ("@", "hybrid") and i == 1))
+            arity, fn = _BUILTINS.get(key, (0, None))
             if key == ("@", "hybrid"):
                 if len(codes) == 1:
-                    return _fail(EvalError, "'@' must be fully applied"), facts[0]
-                at = _at(model, codes[0], codes[1])
-                return _applied(at, codes[2:]), facts[0] and all(facts[2:])
-            arity, fn = _BUILTINS.get(key, (0, None))
-            if 0 < arity <= len(codes):
-                call = _call(model, fn, head.span, codes[:arity])
-                independent = key != ("in", "hybrid") and all(facts)
-                return _applied(call, codes[arity:]), independent
-            run, independent = compile_expr(model, head)
-            return _applied(run, codes), independent and all(facts)
+                    return _fail(EvalError, "'@' must be fully applied"), independent
+                run, codes = _at(model, codes[0], codes[1]), codes[2:]
+            elif 0 < arity <= len(codes):
+                run, codes = _call(model, fn, head.span, codes[:arity]), codes[arity:]
+            return _applied(run, codes), independent
     return _fail(EvalError, f"cannot evaluate {type(expr).__name__}; desugar first"), False
 
 
@@ -168,8 +165,9 @@ def _compile_symbol(model: Model, name: str, kind: str, span) -> tuple[Code, boo
         return curried, (name, kind) != ("in", "hybrid")
     # the parser resolves scopes, but envs from callers win over the model
     if kind == "free" and name in model.atoms:
-        return partial(_atom, model, name, len(model.atoms[name])), False
-    value = _free_value(model, name) if kind == "free" else None
+        atom = lambda state, env: env[name] if name in env else _free_value(model, name, state)
+        return atom, False
+    value = _free_value(model, name, "") if kind == "free" else None
     if value is not None:
         return (lambda state, env: env.get(name, value)), True
     message = (f"variable '{name}' is not bound" if kind == "var"
@@ -183,18 +181,16 @@ def _compile_symbol(model: Model, name: str, kind: str, span) -> tuple[Code, boo
     return lookup, True
 
 
-def _atom(model: Model, name: str, arity: int, state: str, env: Env) -> Value:
-    if name in env:
-        return env[name]
-    if not arity:
-        return BoolV(model.holds(state, name))
-    return _curry(arity, lambda *args: BoolV(
-        model.holds(state, name, tuple(map(atom_arg_key, args)))
-    ))
-
-
-def _free_value(model: Model, name: str) -> Value | None:
-    """The state-free meaning of a declared non-atom symbol, else None."""
+def _free_value(model: Model, name: str, state: str) -> Value | None:
+    """The meaning at a state of a declared free symbol, else None; only
+    atoms read the state."""
+    if name in model.atoms:
+        arity = len(model.atoms[name])
+        if not arity:
+            return BoolV(model.holds(state, name))
+        return _curry(arity, lambda *args: BoolV(
+            model.holds(state, name, tuple(map(atom_arg_key, args)))
+        ))
     if name in model.actions:
         arity = model.actions[name]
         if arity == 0:
@@ -271,13 +267,8 @@ def apply_value(fn: Value, arg: Value) -> Value:
 # ---------- the probability operator ----------
 
 
-def eval_q(
-    model: Model,
-    state: str,
-    actions: list[GroundAction],
-    prop: Expr,
-    env: Env | None = None,
-) -> Fraction:
+def eval_q(model: Model, state: str, actions: list[GroundAction], prop: Expr,
+           env: Env | None = None) -> Fraction:
     """Probability that prop holds after executing the actions in order.
 
     Empty action list: a 1/0 indicator of prop at the state. An action with
@@ -288,13 +279,8 @@ def eval_q(
     return _q(model, state, actions, (compile_expr(model, prop)[0],), env)
 
 
-def eval_q_trace(
-    model: Model,
-    state: str,
-    actions: list[Expr | GroundAction],
-    props: list[Expr],
-    env: Env | None = None,
-) -> Fraction:
+def eval_q_trace(model: Model, state: str, actions: list[Expr | GroundAction],
+                 props: list[Expr], env: Env | None = None) -> Fraction:
     """Trace probability: the chance that each proposition holds right
     after its own action. Base case: the empty trace has probability 1."""
     model.frame.require(state)
@@ -302,14 +288,8 @@ def eval_q_trace(
     return _q(model, state, acts, [compile_expr(model, p)[0] for p in props], env, trace=True)
 
 
-def _q(
-    model: Model,
-    state: str,
-    actions: Sequence[Code | GroundAction],
-    props: Sequence[Code],
-    env: Env | None,
-    trace: bool = False,
-) -> Fraction:
+def _q(model: Model, state: str, actions: Sequence[Code | GroundAction],
+       props: Sequence[Code], env: Env | None, trace: bool = False) -> Fraction:
     """The one Q kernel. The value of a cell (w, i), the mass of the rest
     of the word from state w after i actions, depends on nothing else, so
     each cell is computed once and memoised for this call: a k-step query
@@ -323,9 +303,7 @@ def _q(
     its successors are looked up. `trace` demands one proposition per
     action."""
     if len(props) != len(actions) and (trace or len(props) != 1):
-        raise LengthMismatch(
-            f"{len(actions)} actions but {len(props)} propositions"
-        )
+        raise LengthMismatch(f"{len(actions)} actions but {len(props)} propositions")
     env = env or {}
     k = len(actions)
     first = k + 1 - len(props)

@@ -62,7 +62,7 @@ class ClosureV(Value):
     closure keeps denoting the same function if it crosses a modality."""
 
     param: Any  # Symbol; untyped here to avoid an import cycle
-    body: Any  # Expr
+    body: Any  # the compiled body, run as body(state, env)
     env: dict = field(compare=False)
     state: str = ""
 
