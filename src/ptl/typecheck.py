@@ -18,6 +18,7 @@ from .syntax import (
     PROP,
     App,
     Arrow,
+    Base,
     Box,
     Diamond,
     DiamondAnn,
@@ -62,7 +63,10 @@ def infer_type(expr: Expr, env: TypeEnv) -> Type:
                 raise TypeMismatch("typed binder", f"'{param.name}'", expr.span)
             inner = dict(env)
             inner[param.name] = param.type
-            return Arrow(param.type, infer_type(body, inner))
+            ty = Arrow(param.type, infer_type(body, inner))
+            if ty in (PROP, ACTION):  # these types hold truth values and actions
+                raise TypeMismatch("function", f"lambda of type {ty}", expr.span)
+            return ty
         case App():
             return _infer_app(expr, env)
         case Box(action, body) | Diamond(action, body):
@@ -95,7 +99,7 @@ def check_type(expr: Expr, expected: Type, env: TypeEnv) -> None:
         case Sym(s), ListT():
             if s.kind == "list" and s.name == "nil":
                 return
-        case Lam(param, body), Arrow(src, dst):
+        case Lam(param, body), Arrow(src, dst) if expected not in (PROP, ACTION):
             if param.type is not None and param.type != src:
                 raise TypeMismatch(str(src), str(param.type), expr.span)
             inner = dict(env)
@@ -118,6 +122,10 @@ def _infer_app(expr: Expr, env: TypeEnv) -> Type:
     return fn_type.dst
 
 
+# operand counts of the polymorphic builtins
+_OPERANDS = {"=": 2, "::": 2, "in": 2, "|.|": 1, "-": 2, "forall": 1, "exists": 1}
+
+
 def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Type:
     s = head.symbol
     if s.type is not None:
@@ -130,50 +138,44 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
             ty = ty.dst
         return ty
 
-    name = s.name
-    span = expr.span
+    name, span = s.name, expr.span
+    count = _OPERANDS.get(name)
+    if count is not None and len(args) != count:
+        operands = "one operand" if count == 1 else "two operands"
+        raise TypeMismatch(operands, f"{len(args)} for '{name}'", span)
     if name == "=":
-        if len(args) != 2:
-            raise TypeMismatch("two operands", f"{len(args)} for '='", span)
         try:
             left = infer_type(args[0], env)
         except TypeMismatch:
             # bare nil on the left: take the instance from the right
-            right = infer_type(args[1], env)
-            check_type(args[0], right, env)
-            return PROP
-        check_type(args[1], left, env)
+            left = infer_type(args[1], env)
+            check_type(args[0], left, env)
+        else:
+            check_type(args[1], left, env)
+        _compared(left, name, span)
         return PROP
     if name == "::":
-        if len(args) != 2:
-            raise TypeMismatch("two operands", f"{len(args)} for '::'", span)
         elem = infer_type(args[0], env)
         check_type(args[1], ListT(elem), env)
         return ListT(elem)
     if name == "in" and s.kind == "list":
-        if len(args) != 2:
-            raise TypeMismatch("two operands", f"{len(args)} for 'in'", span)
         elem = infer_type(args[0], env)
         check_type(args[1], ListT(elem), env)
+        _compared(elem, name, span)
         return PROP
     if name == "|.|":
-        if len(args) != 1:
-            raise TypeMismatch("one operand", f"{len(args)} for '|.|'", span)
         ty = infer_type(args[0], env)
         if not isinstance(ty, ListT):
             raise TypeMismatch("list", str(ty), span)
         return NUM
     if name == "-":
-        if len(args) != 2:
-            raise TypeMismatch("two operands", f"{len(args)} for '-'", span)
         ty = infer_type(args[0], env)
         if not isinstance(ty, ListT):
             raise TypeMismatch("list", str(ty), span)
         check_type(args[1], ty.elem, env)
+        _compared(ty.elem, name, span)
         return ty
     if name in ("forall", "exists"):
-        if len(args) != 1:
-            raise TypeMismatch("one operand", f"{len(args)} for '{name}'", span)
         fn_type = infer_type(args[0], env)
         if not (isinstance(fn_type, Arrow) and fn_type.dst == PROP):
             raise TypeMismatch("predicate", str(fn_type), span)
@@ -185,3 +187,13 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
             )
         return PROP
     raise TypeMismatch("known builtin", name, span)
+
+
+def _compared(ty: Type, name: str, span) -> None:
+    """`=`, `in` and `-` compare values, and only base types, prop, action
+    and lists of these have values that compare."""
+    elem = ty
+    while isinstance(elem, ListT):
+        elem = elem.elem
+    if not (isinstance(elem, Base) or elem in (PROP, ACTION)):
+        raise TypeMismatch("first-order operands", f"{ty} for '{name}'", span)

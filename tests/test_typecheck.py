@@ -114,6 +114,43 @@ def test_equality_requires_matching_sides(montyhall):
         infer(montyhall, "C(d1) = 1")
 
 
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ("H = H", "obj -> prop for '='"),
+        ("(lam x : obj . H(x)) = (lam x : obj . T(x))", "obj -> prop for '='"),
+        ("H in (H :: nil)", "obj -> prop for 'in'"),
+        ("(H :: nil) - H = (H :: nil)", "obj -> prop for '-'"),
+    ],
+)
+def test_comparisons_reject_function_types(twotoss, text, found):
+    # values of these types are functions, which do not compare
+    with pytest.raises(TypeMismatch) as info:
+        infer(twotoss, text)
+    assert info.value.message == f"expected first-order operands, found {found}"
+
+
+def test_comparisons_take_first_order_types(twotoss):
+    for text in ("H(c) = T(c)", "t(c) = t(c)", "((c :: nil) :: nil) = nil",
+                 "forall b : bool . b = b", "(t(c) :: nil) - t(c) = nil"):
+        assert infer(twotoss, text) == PROP
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "forall b : bool . ((lam w : state . b) = H(c))",
+        "forall b : bool . (lam f : prop . f)(lam w : state . b)",
+        "box[lam w : state . w :: nil] H(c)",
+    ],
+)
+def test_no_lambda_at_prop_or_action(twotoss, text):
+    # a prop or action term evaluates to a truth value or an action at
+    # the current state, never to a function
+    with pytest.raises(TypeMismatch, match="^expected function, found lambda of type"):
+        infer(twotoss, text)
+
+
 def test_predicate_binder_rejects_non_object_predicates(dice12):
     with pytest.raises(TypeMismatch):
         infer(dice12, "exists n : Picked . n = 3")
