@@ -247,7 +247,7 @@ def parse_space(text: str, source: str = "<space>") -> ProbabilitySpace:
         def fail(msg: str):
             return ParseError(f"{source}:{lineno}: {msg}")
 
-        if line.startswith("space"):
+        if line.split()[0] == "space":
             parts = line.split()
             if len(parts) != 2 or name is not None:
                 raise fail("expected a single 'space <name>' line")

@@ -41,6 +41,7 @@ from ptl.adequacy import (
 )
 from ptl.errors import (
     NameClash,
+    ParseError,
     ProbabilityRangeError,
     ProbabilitySumError,
     UnknownOutcome,
@@ -128,6 +129,13 @@ def test_set_expressions_round_trip():
         e = parse_set_expr(text)
         again = parse_set_expr(render_set_expr(e))
         assert again == e
+
+
+def test_space_header_is_the_word_space():
+    text = "outcomes: a\nmass: a 1\n"
+    assert parse_space("space die\n" + text).name == "die"
+    with pytest.raises(ParseError, match="unrecognized line 'spaceship die'"):
+        parse_space("spaceship die\n" + text)
 
 
 def test_space_files_round_trip():
