@@ -410,12 +410,12 @@ def serialize_model(model: Model) -> str:
                     f"  {state} --{ga}--> {target} @ {render_rational(prob)}"
                 )
         lines.append("")
-    entries = [
-        (state, atom, args)
-        for state in model.states
-        for (s, atom, args) in sorted(model.valuation, key=_valuation_key(model))
-        if s == state
-    ]
+    # declared state order, then declared atom order, then arguments
+    state_order = {name: i for i, name in enumerate(model.states)}
+    atom_order = {name: i for i, name in enumerate(model.atoms)}
+    entries = sorted(model.valuation, key=lambda entry: (
+        state_order[entry[0]], atom_order[entry[1]], tuple(str(a) for a in entry[2])
+    ))
     if entries:
         lines.append("valuation")
         for state, atom, args in entries:
@@ -426,13 +426,3 @@ def serialize_model(model: Model) -> str:
             lines.append(f"  {state} : {call}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def _valuation_key(model: Model):
-    atom_order = {name: i for i, name in enumerate(model.atoms)}
-
-    def key(entry):
-        _, atom, args = entry
-        return (atom_order[atom], tuple(str(a) for a in args))
-
-    return key

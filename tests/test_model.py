@@ -256,6 +256,25 @@ def test_serialize_is_stable(coin):
     assert text == again
 
 
+def test_serialize_orders_the_valuation_by_state_then_atom_then_arguments():
+    model = validate_model(parse_model("""model order
+types
+  r : obj -> prop
+  p : prop
+objects a b
+states s0 s1 s2
+valuation
+  s2 : r(b), p
+  s0 : r(b)
+  s1 : p
+  s0 : r(a), p
+"""))
+    valuation = serialize_model(model).split("valuation\n", 1)[1]
+    assert valuation == (
+        "  s0 : r(a)\n  s0 : r(b)\n  s0 : p\n  s1 : p\n  s2 : r(b)\n  s2 : p\n"
+    )
+
+
 def test_equal_text_gives_equal_models_and_hashes():
     text = corpus_text("coin.ptlm")
     a, b = (validate_model(parse_model(text, source=src)) for src in ("a", "b"))
