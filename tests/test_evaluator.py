@@ -25,7 +25,7 @@ from ptl.model import (
     successors,
     validate_model,
 )
-from ptl.syntax import ACTION, BOT, PROP, TOP, conj, disj, neg, sym
+from ptl.syntax import ACTION, BOT, PLUS, PROP, TOP, app, conj, disj, neg, rat, sym
 from ptl.values import BoolV, GroundAction, RatV
 
 
@@ -87,6 +87,36 @@ def test_quantifiers_do_not_short_circuit(coin, text):
     report = satisfies(coin, "s0", parse(text))
     assert report.verdict == ERROR
     assert report.message == "action toss(c) has no transitions at state sh"
+
+
+def nested_not(n):
+    e = sym(TOP)
+    for _ in range(n):
+        e = neg(e)
+    return e
+
+
+def plus_chain(n):
+    # left-nested, as the parser folds `+`
+    e = rat(1)
+    for _ in range(n - 1):
+        e = app(sym(PLUS), e, rat(1))
+    return e
+
+
+@pytest.mark.parametrize(
+    "term, value",
+    [
+        (nested_not(450), BoolV(True)),
+        (conj(*[sym(TOP)] * 450), BoolV(True)),
+        (plus_chain(450), RatV(Fraction(450))),
+    ],
+    ids=["not", "and", "plus"],
+)
+def test_evaluate_takes_450_levels_of_nesting(coin, term, value):
+    # at the default recursion limit, built directly as core terms, so
+    # neither the parser nor the typechecker is involved
+    assert evaluate(coin, "s0", term) == value
 
 
 def test_the_witness_names_the_first_failing_instance(coin):
