@@ -34,6 +34,11 @@ from .syntax import (
 
 TypeEnv = dict[str, Type]
 
+# prop and action are arrows from state, but their terms evaluate to a truth
+# value or an action at the current state: no lambda has one of these types,
+# no term of them is applied, and they compare like base types
+READ_AT_STATE = (PROP, ACTION)
+
 
 def infer_type(expr: Expr, env: TypeEnv) -> Type:
     match expr:
@@ -64,7 +69,7 @@ def infer_type(expr: Expr, env: TypeEnv) -> Type:
             inner = dict(env)
             inner[param.name] = param.type
             ty = Arrow(param.type, infer_type(body, inner))
-            if ty in (PROP, ACTION):  # these types hold truth values and actions
+            if ty in READ_AT_STATE:
                 raise TypeMismatch("function", f"lambda of type {ty}", expr.span)
             return ty
         case App():
@@ -99,7 +104,7 @@ def check_type(expr: Expr, expected: Type, env: TypeEnv) -> None:
         case Sym(s), ListT():
             if s.kind == "list" and s.name == "nil":
                 return
-        case Lam(param, body), Arrow(src, dst) if expected not in (PROP, ACTION):
+        case Lam(param, body), Arrow(src, dst) if expected not in READ_AT_STATE:
             if param.type is not None and param.type != src:
                 raise TypeMismatch(str(src), str(param.type), expr.span)
             inner = dict(env)
@@ -116,7 +121,7 @@ def _infer_app(expr: Expr, env: TypeEnv) -> Type:
     if isinstance(head, Sym) and head.symbol.kind not in ("var", "free"):
         return _infer_builtin(expr, head, args, env)
     fn_type = infer_type(expr.fn, env)
-    if not isinstance(fn_type, Arrow):
+    if not isinstance(fn_type, Arrow) or fn_type in READ_AT_STATE:
         raise TypeMismatch("function", str(fn_type), expr.span)
     check_type(expr.arg, fn_type.src, env)
     return fn_type.dst
@@ -132,7 +137,7 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
         # monomorphic: peel the arrow one argument at a time
         ty: Type = s.type
         for a in args:
-            if not isinstance(ty, Arrow):
+            if not isinstance(ty, Arrow) or ty in READ_AT_STATE:
                 raise TypeMismatch("function", str(ty), expr.span)
             check_type(a, ty.src, env)
             ty = ty.dst
@@ -195,5 +200,5 @@ def _compared(ty: Type, name: str, span) -> None:
     elem = ty
     while isinstance(elem, ListT):
         elem = elem.elem
-    if not (isinstance(elem, Base) or elem in (PROP, ACTION)):
+    if not (isinstance(elem, Base) or elem in READ_AT_STATE):
         raise TypeMismatch("first-order operands", f"{ty} for '{name}'", span)

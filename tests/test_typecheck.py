@@ -151,6 +151,12 @@ def test_no_lambda_at_prop_or_action(twotoss, text):
         infer(twotoss, text)
 
 
+@pytest.mark.parametrize("text", ["H(c)(s0) = T(c)(s0)", "(H(c) /\\ T(c))(s0) = (H(c))(s0)"])
+def test_props_are_not_applied(twotoss, text):
+    with pytest.raises(TypeMismatch, match="expected function, found prop$"):
+        infer(twotoss, text)
+
+
 def test_predicate_binder_rejects_non_object_predicates(dice12):
     with pytest.raises(TypeMismatch):
         infer(dice12, "exists n : Picked . n = 3")

@@ -32,7 +32,7 @@ def props(draw, acts, scope, depth):
     num = nums(acts, scope, depth - 1)
     act = st.sampled_from(acts)
     fresh = f"x{len(scope)}"
-    kind = draw(st.integers(0, 13))
+    kind = draw(st.integers(0, 14))
     if kind == 0:
         return f"~ ({draw(sub)})"
     if kind == 1:
@@ -64,12 +64,17 @@ def props(draw, acts, scope, depth):
         arg = {"state": st.sampled_from(states), "num": num, "prop": sub}[ty]
         body = draw(props(acts, scope + ((fresh, ty),), depth - 1))
         return f"(lam {fresh} : {ty} . {body})({draw(arg)})"
+    # kinds 11-13 are rejected by the typechecker: functions do not compare,
+    # and a prop is a truth value, so no lambda has type prop and no prop is
+    # applied to a state
     if kind == 11:
         return f"(lam {fresh} : state . {draw(sub)}) = (lam {fresh} : state . {draw(sub)})"
     if kind == 12:
-        # a lambda at type prop: rejected, since props are truth values
         bools = [x for x, k in scope if k == "bool"] or ["true"]
         return f"(lam {fresh} : state . {draw(st.sampled_from(bools))}) = ({draw(sub)})"
+    if kind == 13:
+        s = draw(st.sampled_from(states))
+        return f"(({draw(sub)})({s})) = (({draw(sub)})({s}))"
     word = "; ".join(draw(st.lists(act, min_size=1, max_size=3)))
     return f"Q[{word}]({draw(sub)}) {draw(st.sampled_from(['=', '<']))} {draw(num)}"
 
@@ -116,7 +121,7 @@ def test_well_typed_formulas_raise_only_disabled_actions_and_zero_divisions(fram
         formula = parse(text)
         infer_type(formula, model.type_env())
     except (ParseError, TypeError_):
-        return  # a literal 1/0, a lambda at type prop, a comparison of functions
+        return  # a literal 1/0, or one of kinds 11-13
     for state in model.states:
         try:
             evaluate(model, state, formula)
