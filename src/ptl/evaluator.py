@@ -267,8 +267,13 @@ def apply_value(fn: Value, arg: Value) -> Value:
 # ---------- the probability operator ----------
 
 
-def eval_q(model: Model, state: str, actions: list[GroundAction], prop: Expr,
-           env: Env | None = None) -> Fraction:
+def eval_q(
+    model: Model,
+    state: str,
+    actions: list[GroundAction],
+    prop: Expr,
+    env: Env | None = None,
+) -> Fraction:
     """Probability that prop holds after executing the actions in order.
 
     Empty action list: a 1/0 indicator of prop at the state. An action with
@@ -279,8 +284,13 @@ def eval_q(model: Model, state: str, actions: list[GroundAction], prop: Expr,
     return _q(model, state, actions, (compile_expr(model, prop)[0],), env)
 
 
-def eval_q_trace(model: Model, state: str, actions: list[Expr | GroundAction],
-                 props: list[Expr], env: Env | None = None) -> Fraction:
+def eval_q_trace(
+    model: Model,
+    state: str,
+    actions: list[Expr | GroundAction],
+    props: list[Expr],
+    env: Env | None = None,
+) -> Fraction:
     """Trace probability: the chance that each proposition holds right
     after its own action. Base case: the empty trace has probability 1."""
     model.frame.require(state)
@@ -288,8 +298,14 @@ def eval_q_trace(model: Model, state: str, actions: list[Expr | GroundAction],
     return _q(model, state, acts, [compile_expr(model, p)[0] for p in props], env, trace=True)
 
 
-def _q(model: Model, state: str, actions: Sequence[Code | GroundAction],
-       props: Sequence[Code], env: Env | None, trace: bool = False) -> Fraction:
+def _q(
+    model: Model,
+    state: str,
+    actions: Sequence[Code | GroundAction],
+    props: Sequence[Code],
+    env: Env | None,
+    trace: bool = False,
+) -> Fraction:
     """The one Q kernel. The value of a cell (w, i), the mass of the rest
     of the word from state w after i actions, depends on nothing else, so
     each cell is computed once and memoised for this call: a k-step query
@@ -303,7 +319,9 @@ def _q(model: Model, state: str, actions: Sequence[Code | GroundAction],
     its successors are looked up. `trace` demands one proposition per
     action."""
     if len(props) != len(actions) and (trace or len(props) != 1):
-        raise LengthMismatch(f"{len(actions)} actions but {len(props)} propositions")
+        raise LengthMismatch(
+            f"{len(actions)} actions but {len(props)} propositions"
+        )
     env = env or {}
     k = len(actions)
     first = k + 1 - len(props)
