@@ -247,8 +247,8 @@ def parse_space(text: str, source: str = "<space>") -> ProbabilitySpace:
         def fail(msg: str):
             return ParseError(f"{source}:{lineno}: {msg}")
 
-        if line.split()[0] == "space":
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "space":
             if len(parts) != 2 or name is not None:
                 raise fail("expected a single 'space <name>' line")
             name = parts[1]

@@ -137,17 +137,17 @@ def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
             arity, fn = _BUILTINS.get(key, (0, None))
             if key == ("@", "hybrid"):
                 if len(codes) == 1:
-                    return _fail(EvalError, "'@' must be fully applied"), independent
+                    return _fail("'@' must be fully applied"), independent
                 run, codes = _at(model, codes[0], codes[1]), codes[2:]
             elif 0 < arity <= len(codes):
                 run, codes = _call(model, fn, head.span, codes[:arity]), codes[arity:]
             return _applied(run, codes), independent
-    return _fail(EvalError, f"cannot evaluate {type(expr).__name__}; desugar first"), False
+    return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False
 
 
-def _fail(cls: type[Exception], *args) -> Code:
+def _fail(message: str, span=None) -> Code:
     def run(state: str, env: Env) -> Value:
-        raise cls(*args)
+        raise EvalError(message, span)
 
     return run
 
@@ -156,7 +156,7 @@ def _compile_symbol(model: Model, name: str, kind: str, span) -> tuple[Code, boo
     if kind not in ("var", "free"):
         builtin = _BUILTINS.get((name, kind))
         if builtin is None:
-            return _fail(EvalError, f"builtin '{name}' has no direct denotation", span), True
+            return _fail(f"builtin '{name}' has no direct denotation", span), True
         arity, fn = builtin
         if not arity:
             value = fn(model, "", span)
