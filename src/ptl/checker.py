@@ -27,7 +27,7 @@ from .evaluator import (
     truth,
 )
 from .model import Model, successors
-from .syntax import App, Box, Expr, Lam, Q, Sym, Symbol, conj
+from .syntax import App, Expr, Lam, Q, Sym, Symbol, conj
 from .values import BoolV, GroundAction, RatV, StateV, render_rational, render_value
 
 SATISFIED = "satisfied"
@@ -154,8 +154,6 @@ def _mentions_q(e: Expr) -> bool:
             return _mentions_q(fn) or _mentions_q(arg)
         case Lam(_, body):
             return _mentions_q(body)
-        case Box(_, body):
-            return _mentions_q(body)
         case _:
             return False
 
@@ -171,7 +169,7 @@ def _drill(model: Model, state: str, expr: Expr, env: dict) -> list[dict]:
     """Walk a violated formula toward a concrete failing point, recording
     the states and instantiations chosen along the way."""
     match expr:
-        case Box(action_e, body):
+        case App(App(Sym(Symbol("box", _, "modal")), action_e), body):
             ga = _ground_action(model, state, action_e, env)
             for w, _ in model.frame.successors(state, ga):
                 if not truth(model, w, body, env):

@@ -1,9 +1,10 @@
 """Evaluation of well-typed terms against a model and a current state.
 
 Everything is interpreted at the current state: flexible symbols (atoms and
-Q) consult it, rigid symbols ignore it, and the modal nodes plus @ shift it
-for their bodies. Q and @ re-evaluate their proposition argument at other
-states, and @ must be fully applied. Lambdas capture the state where they
+Q) consult it, rigid symbols ignore it, and the modal operators box, dia
+and dia{p} plus @ shift it for their bodies. Q, the modal operators and @
+re-evaluate their proposition argument at other states, and the modal
+operators and @ must be fully applied. Lambdas capture the state where they
 are interpreted, so a function value keeps denoting the same function even
 if it flows across a modality. All arithmetic is exact.
 
@@ -12,12 +13,13 @@ Each entry call compiles its term once (`compile_expr`) into a closure
 fixes before any state is visited: each symbol's meaning, which
 applications fully apply a builtin (these call its n-ary function in
 `_BUILTINS`), and whether the term reads the current state. It raises
-nothing: an unknown symbol, a bare @, a missing builtin or an unenumerable
-domain raises when its node runs, so a body that never runs (under a box
-over a disabled action, in a dropped Q cell) raises nothing.
+nothing: an unknown symbol, a bare or partly applied @ or modal operator, a
+missing builtin or an unenumerable domain raises when its node runs, so a
+body that never runs (under a box over a disabled action, in a dropped Q
+cell) raises nothing.
 
 Connectives evaluate both operands, quantifiers every instance and modal
-nodes their body at every successor (no short-circuiting): a disabled
+operators their body at every successor (no short-circuiting): a disabled
 action inside a probability query is a modeling mistake and should surface
 as a DisabledAction error, not be masked by the order of operands,
 instances or successors.
@@ -40,12 +42,10 @@ from .errors import (
 from .printer import print_formula
 from .syntax import (
     BOOL,
+    MODAL_ARITY,
     OBJ,
     STATE,
     App,
-    Box,
-    Diamond,
-    DiamondAnn,
     Expr,
     Lam,
     Q,
@@ -102,7 +102,7 @@ def state_independent(model: Model, expr: Expr) -> bool:
 
 def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
     """The closure `run(state, env)` that evaluates expr, and the fact
-    `independent`. Only atoms, `in`, the modal nodes and Q read the
+    `independent`. Only atoms, `in`, the modal operators and Q read the
     current state; @ moves its body to a state of its own, closures run at
     their captured state, and quantifier domains and rigid values are
     plain data. So `independent` holds when every such read sits under @:
@@ -116,10 +116,6 @@ def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
         case Lam(param, body):
             code, independent = compile_expr(model, body)
             return (lambda state, env: ClosureV(param, code, dict(env), state)), independent
-        case Box(action_e, body) | Diamond(action_e, body) | DiamondAnn(action_e, _, body):
-            prob = compile_expr(model, expr.prob)[0] if isinstance(expr, DiamondAnn) else None
-            return _modal(model, compile_expr(model, action_e)[0], prob,
-                          compile_expr(model, body)[0], isinstance(expr, Box)), False
         case Q(actions, props):
             acts = [compile_expr(model, a)[0] for a in actions]
             tests = [compile_expr(model, p)[0] for p in props]
@@ -139,6 +135,13 @@ def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
                 if len(codes) == 1:
                     return _fail("'@' must be fully applied"), independent
                 run, codes = _at(model, codes[0], codes[1]), codes[2:]
+            elif key is not None and key[1] == "modal":
+                n = MODAL_ARITY[key[0]]
+                if len(codes) < n:
+                    return _fail(f"'{key[0]}' must be fully applied"), False
+                action, *prob, body = codes[:n]  # dia{p} has a probability
+                run = _modal(model, action, prob[0] if prob else None, body, key[0] == "box")
+                codes, independent = codes[n:], False
             elif 0 < arity <= len(codes):
                 run, codes = _call(model, fn, head.span, codes[:arity]), codes[arity:]
             return _applied(run, codes), independent

@@ -29,7 +29,10 @@ from .syntax import (
     AT,
     BASE_TYPES,
     BOT,
+    BOX,
     CONS,
+    DIA,
+    DIA_P,
     DIFF,
     DIV,
     EQ,
@@ -49,9 +52,6 @@ from .syntax import (
     TOP,
     App,
     Arrow,
-    Box,
-    Diamond,
-    DiamondAnn,
     Expr,
     Lam,
     ListT,
@@ -62,6 +62,7 @@ from .syntax import (
     Sym,
     Symbol,
     Type,
+    app,
     desugar,
 )
 
@@ -231,22 +232,17 @@ class _Parser:
             bound = self.lookup(name.text)
             state = Sym(bound if bound else Symbol(name.text, None, "free"), span=name.span)
             return App(App(Sym(AT), state), self.prefix(), span=t.span)
-        if t.kind == "dia":
+        if t.kind in ("dia", "box"):
             self.next()
             self.expect("[")
-            action = self.expr()
+            args = [self.expr()]
             self.expect("]")
-            if self.eat("{"):
-                prob = self.expr()
+            head = BOX if t.kind == "box" else DIA
+            if t.kind == "dia" and self.eat("{"):
+                args.append(self.expr())
                 self.expect("}")
-                return DiamondAnn(action, prob, self.prefix(), span=t.span)
-            return Diamond(action, self.prefix(), span=t.span)
-        if t.kind == "box":
-            self.next()
-            self.expect("[")
-            action = self.expr()
-            self.expect("]")
-            return Box(action, self.prefix(), span=t.span)
+                head = DIA_P
+            return App(app(Sym(head), *args), self.prefix(), span=t.span)
         return self.relation()
 
     def binder(self, kind: str) -> Expr:

@@ -10,10 +10,8 @@ something that would not reparse.
 from __future__ import annotations
 
 from .syntax import (
+    MODAL_ARITY,
     App,
-    Box,
-    Diamond,
-    DiamondAnn,
     Expr,
     Lam,
     MemberBinder,
@@ -22,6 +20,7 @@ from .syntax import (
     RatLit,
     Sym,
     Symbol,
+    app,
     spine,
 )
 from .values import render_rational
@@ -71,16 +70,6 @@ def _render(e: Expr) -> tuple[str, int]:
             raise ValueError(f"builtin '{s.name}' is not printable unapplied")
         case Lam(param, body):
             return f"lam {param.name} : {param.type} . {_print(body, IFF)}", IFF
-        case Box(action, body):
-            return f"box[{_print(action, IFF)}] {_print(body, PREFIX)}", PREFIX
-        case Diamond(action, body):
-            return f"dia[{_print(action, IFF)}] {_print(body, PREFIX)}", PREFIX
-        case DiamondAnn(action, prob, body):
-            return (
-                f"dia[{_print(action, IFF)}]{{{_print(prob, IFF)}}} "
-                f"{_print(body, PREFIX)}",
-                PREFIX,
-            )
         case Q(actions, props):
             inner_a = "; ".join(_print(a, IFF) for a in actions)
             inner_p = "; ".join(_print(p, IFF) for p in props)
@@ -96,6 +85,10 @@ def _render(e: Expr) -> tuple[str, int]:
 
 def _render_app(e: App) -> tuple[str, int]:
     head, args = spine(e)
+    if isinstance(head, Sym) and head.symbol.kind == "modal":
+        n = MODAL_ARITY[head.symbol.name]
+        if len(args) > n:  # a modal formula applied further prints as a call
+            head, args = app(head, *args[:n]), args[n:]
     if isinstance(head, Sym):
         s = head.symbol
         if s.kind in ("quant",) and len(args) == 1:
@@ -105,6 +98,11 @@ def _render_app(e: App) -> tuple[str, int]:
             if not (isinstance(state, Sym) and state.symbol.kind in ("var", "free")):
                 raise ValueError("@ takes a state name in surface syntax")
             return f"@{state.symbol.name} {_print(args[1], PREFIX)}", PREFIX
+        if s.kind == "modal" and len(args) == n:
+            action, *prob, body = args  # dia{p} has a probability
+            keyword = "box" if s.name == "box" else "dia"
+            ann = "".join(f"{{{_print(p, IFF)}}}" for p in prob)
+            return f"{keyword}[{_print(action, IFF)}]{ann} {_print(body, PREFIX)}", PREFIX
         if s.kind == "hybrid" and s.name == "in" and len(args) == 1:
             return f"in({_print(args[0], IFF)})", APP
         if s.kind == "logical" and s.name == "~" and len(args) == 1:

@@ -9,8 +9,10 @@ list constructors. Propositions and actions are plain abbreviations:
 Both are canonicalized structurally; no distinct "prop" node is ever stored,
 so type equality is ordinary structural equality.
 
-Terms are a simply typed lambda calculus extended with modal nodes (box,
-diamond, probability-annotated diamond) and a probability node. Sugared
+Terms are a simply typed lambda calculus over builtin constants, extended
+with a probability node. The modal operators box, dia and dia{p} are
+builtin constants like @: each takes an action (and dia{p} a probability)
+and maps a proposition to a proposition evaluated at successors. Sugared
 binder forms produced by the parser (predicate bounds, list-membership
 bounds) are expanded by `desugar` before typechecking or evaluation.
 """
@@ -88,6 +90,8 @@ def is_atom_signature(ty: Type) -> bool:
 
 
 def atom_arg_types(ty: Type) -> tuple[Type, ...]:
+    """The argument types before the prop result, for an atom or a modal
+    operator."""
     args: list[Type] = []
     while ty != PROP:
         assert isinstance(ty, Arrow)
@@ -116,7 +120,7 @@ class Symbol:
     """A named constant or variable occurrence.
 
     kind is one of: var (bound variable), free (resolved against a model's
-    type environment), logical, rel, arith, list, hybrid, quant.
+    type environment), logical, rel, arith, list, hybrid, modal, quant.
     Polymorphic builtins carry type None; their instance type is determined
     at each use site.
     """
@@ -145,6 +149,13 @@ LENGTH = Symbol("|.|", None, "list")  # [tau] -> num
 DIFF = Symbol("-", None, "list")  # [tau] -> tau -> [tau]
 AT = Symbol("@", Arrow(STATE, Arrow(PROP, PROP)), "hybrid")
 IN_STATE = Symbol("in", Arrow(STATE, PROP), "hybrid")
+# box: every successor under the action satisfies the body (vacuously true
+# when the action is disabled); dia: some successor does; dia{p}: some
+# successor reached with exactly probability p does
+BOX = Symbol("box", Arrow(ACTION, Arrow(PROP, PROP)), "modal")
+DIA = Symbol("dia", Arrow(ACTION, Arrow(PROP, PROP)), "modal")
+DIA_P = Symbol("dia{p}", Arrow(ACTION, Arrow(NUM, Arrow(PROP, PROP))), "modal")
+MODAL_ARITY = {m.name: len(atom_arg_types(m.type)) for m in (BOX, DIA, DIA_P)}
 FORALL = Symbol("forall", None, "quant")  # (tau -> prop) -> prop
 EXISTS = Symbol("exists", None, "quant")
 
@@ -190,36 +201,6 @@ class Lam(Expr):
     """Typed abstraction; the binder always carries its type."""
 
     param: Symbol
-    body: Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Box(Expr):
-    """All successors under the action satisfy the body (vacuously true
-    when the action is disabled)."""
-
-    action: Expr
-    body: Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Diamond(Expr):
-    """Some successor under the action satisfies the body."""
-
-    action: Expr
-    body: Expr
-    span: SourceSpan | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class DiamondAnn(Expr):
-    """Some successor reached with exactly the annotated probability
-    satisfies the body."""
-
-    action: Expr
-    prob: Expr
     body: Expr
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
@@ -359,12 +340,6 @@ def desugar(e: Expr) -> Expr:
             return App(desugar(fn), desugar(arg), span=e.span)
         case Lam(param, body):
             return Lam(param, desugar(body), span=e.span)
-        case Box(action, body):
-            return Box(desugar(action), desugar(body), span=e.span)
-        case Diamond(action, body):
-            return Diamond(desugar(action), desugar(body), span=e.span)
-        case DiamondAnn(action, prob, body):
-            return DiamondAnn(desugar(action), desugar(prob), desugar(body), span=e.span)
         case Q(actions, props):
             return Q(
                 tuple(desugar(a) for a in actions),
@@ -409,16 +384,6 @@ def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int], depth: int)
                 return False
             return _alpha(
                 ba, bb, {**la, pa.name: depth}, {**lb, pb.name: depth}, depth + 1
-            )
-        case Box(xa, ba), Box(xb, bb):
-            return _alpha(xa, xb, la, lb, depth) and _alpha(ba, bb, la, lb, depth)
-        case Diamond(xa, ba), Diamond(xb, bb):
-            return _alpha(xa, xb, la, lb, depth) and _alpha(ba, bb, la, lb, depth)
-        case DiamondAnn(xa, pa, ba), DiamondAnn(xb, pb, bb):
-            return (
-                _alpha(xa, xb, la, lb, depth)
-                and _alpha(pa, pb, la, lb, depth)
-                and _alpha(ba, bb, la, lb, depth)
             )
         case Q(aa, pa), Q(ab, pb):
             return (

@@ -19,12 +19,10 @@ from .syntax import (
     App,
     Arrow,
     Base,
-    Box,
-    Diamond,
-    DiamondAnn,
     Expr,
     Lam,
     ListT,
+    NIL,
     Q,
     RatLit,
     Sym,
@@ -74,15 +72,6 @@ def infer_type(expr: Expr, env: TypeEnv) -> Type:
             return ty
         case App():
             return _infer_app(expr, env)
-        case Box(action, body) | Diamond(action, body):
-            check_type(action, ACTION, env)
-            check_type(body, PROP, env)
-            return PROP
-        case DiamondAnn(action, prob, body):
-            check_type(action, ACTION, env)
-            check_type(prob, NUM, env)
-            check_type(body, PROP, env)
-            return PROP
         case Q(actions, props):
             if len(props) not in (1, len(actions)):
                 raise LengthMismatch(
@@ -149,15 +138,11 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
         operands = "one operand" if count == 1 else "two operands"
         raise TypeMismatch(operands, f"{len(args)} for '{name}'", span)
     if name == "=":
-        try:
-            left = infer_type(args[0], env)
-        except TypeMismatch:
-            # bare nil on the left: take the instance from the right
-            left = infer_type(args[1], env)
-            check_type(args[0], left, env)
-        else:
-            check_type(args[1], left, env)
-        _compared(left, name, span)
+        # a bare nil on the left takes its instance from the right
+        first, second = args[::-1] if args[0] == Sym(NIL) else args
+        ty = infer_type(first, env)
+        check_type(second, ty, env)
+        _compared(ty, name, span)
         return PROP
     if name == "::":
         elem = infer_type(args[0], env)
@@ -184,6 +169,8 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
         fn_type = infer_type(args[0], env)
         if not (isinstance(fn_type, Arrow) and fn_type.dst == PROP):
             raise TypeMismatch("predicate", str(fn_type), span)
+        if not isinstance(args[0], Lam):  # the evaluator enumerates a lambda's binder
+            raise TypeMismatch("lambda", f"{fn_type} for '{name}'", span)
         if fn_type.src not in ENUMERABLE:
             raise UnenumerableQuantifier(
                 f"cannot quantify over {fn_type.src}; "

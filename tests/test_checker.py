@@ -106,6 +106,16 @@ def test_a_comparison_reports_the_error_evaluate_raises_first(coin, text):
     assert report.message == str(raised.value)
 
 
+@pytest.mark.parametrize("modal", ["box[toss(c)]", "dia[toss(c)]", "dia[toss(c)]{1/2}"])
+def test_a_q_under_any_modal_operator_makes_its_side_the_numeric_one(coin, modal):
+    # the left side's Q sits under the modal operator, inside an argument
+    # the lambda ignores; it still marks the left side as the probability
+    text = f"(lam b : prop . 1/3)({modal} (Q[](heads(c)) = 1)) < Q[toss(c)](heads(c))"
+    report = satisfies(coin, "s0", parse(text))
+    assert report.verdict == SATISFIED
+    assert report.numeric == Fraction(1, 3)
+
+
 def test_a_comparison_of_non_numbers_records_no_sides(twotoss):
     report = satisfies(twotoss, "s0", parse("s0 = s0"))
     assert report.verdict == SATISFIED

@@ -133,6 +133,21 @@ def test_eval_parse_error_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "formula, message",
+    [
+        ("toss(c)(s0) = nil", "expected function, found action"),
+        ("(heads :: nil) - heads = nil",
+         "expected first-order operands, found obj -> prop for '-'"),
+    ],
+    ids=["applied-action", "list-difference"],
+)
+def test_nil_on_the_right_keeps_the_left_operands_error(capsys, formula, message):
+    code, _, err = run(capsys, "check", corpus_path("coin.ptlm"), formula)
+    assert code == 2
+    assert err.rstrip().endswith(message)
+
+
 def test_eval_takes_a_2000_step_q(capsys, tmp_path):
     # a recursive path walk fails here as "input nested too deeply"
     path = tmp_path / "loop.ptlm"

@@ -24,7 +24,10 @@ from ptl.syntax import (
     AT,
     BOOL,
     BOT,
+    BOX,
     CONS,
+    DIA,
+    DIA_P,
     DIFF,
     DIV,
     EQ,
@@ -48,9 +51,6 @@ from ptl.syntax import (
     TOP,
     App,
     Arrow,
-    Box,
-    Diamond,
-    DiamondAnn,
     Lam,
     ListT,
     Q,
@@ -199,11 +199,11 @@ def test_q_trace_keeps_lengths_for_the_typechecker():
 
 
 def test_modalities_parse():
-    assert isinstance(parse("box[t] H"), Box)
-    assert isinstance(parse("dia[t] H"), Diamond)
-    ann = parse("dia[t]{1/2} H")
-    assert isinstance(ann, DiamondAnn)
-    assert ann.prob.value == Fraction(1, 2)
+    assert spine(parse("box[t] H"))[0] == Sym(BOX)
+    assert spine(parse("dia[t] H"))[0] == Sym(DIA)
+    head, (_, prob, _) = spine(parse("dia[t]{1/2} H"))
+    assert head == Sym(DIA_P)
+    assert prob.value == Fraction(1, 2)
 
 
 def test_at_operator_prefixes_a_state():
@@ -400,11 +400,11 @@ def core_terms(draw, scope=(), depth=4):
         state = draw(st.sampled_from([Sym(Symbol("s")), *(Sym(v) for v in scope)]))
         return app(Sym(AT), state, draw(sub))
     if kind == 5:
-        return Box(draw(sub), draw(sub))
+        return app(Sym(BOX), draw(sub), draw(sub))
     if kind == 6:
-        return Diamond(draw(sub), draw(sub))
+        return app(Sym(DIA), draw(sub), draw(sub))
     if kind == 7:
-        return DiamondAnn(draw(sub), draw(sub), draw(sub))
+        return app(Sym(DIA_P), draw(sub), draw(sub), draw(sub))
     actions = tuple(draw(st.lists(sub, max_size=3)))
     n_props = len(actions) if actions and draw(st.booleans()) else 1
     return Q(actions, tuple(draw(sub) for _ in range(n_props)))

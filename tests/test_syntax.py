@@ -7,14 +7,15 @@ from ptl.printer import print_formula
 from ptl.syntax import (
     ACTION,
     BOOL,
+    BOX,
+    DIA,
+    DIA_P,
     NUM,
     OBJ,
     PROP,
     STATE,
     App,
     Arrow,
-    Box,
-    Diamond,
     Lam,
     ListT,
     MemberBinder,
@@ -121,11 +122,13 @@ def test_pred_binder_desugars_like_member_binder():
 
 def test_desugar_reaches_under_modalities():
     inner = MemberBinder("forall", "x", cons_list([free("a")]), free("p"))
-    boxed = desugar(Box(free("act"), inner))
-    assert isinstance(boxed, Box)
-    assert not isinstance(boxed.body, MemberBinder)
-    dia = desugar(Diamond(free("act"), inner))
-    assert not isinstance(dia.body, MemberBinder)
+    boxed = desugar(app(Sym(BOX), free("act"), inner))
+    assert spine(boxed)[0] == Sym(BOX)
+    assert not isinstance(boxed.arg, MemberBinder)
+    dia = desugar(app(Sym(DIA), free("act"), inner))
+    assert not isinstance(dia.arg, MemberBinder)
+    dia_p = desugar(app(Sym(DIA_P), free("act"), rat(1, 2), inner))
+    assert not isinstance(dia_p.arg, MemberBinder)
     q = desugar(Q((free("act"),), (inner,)))
     assert not isinstance(q.props[0], MemberBinder)
 

@@ -4,7 +4,7 @@ import pytest
 
 from ptl import parse
 from ptl.errors import LengthMismatch, TypeMismatch, UnboundSymbol, UnenumerableQuantifier
-from ptl.syntax import BOOL, NUM, OBJ, PROP, STATE, Arrow, ListT
+from ptl.syntax import BOOL, FORALL, NUM, OBJ, PROP, STATE, App, Arrow, ListT, Sym, free
 from ptl.typecheck import check_type, infer_type
 
 
@@ -175,6 +175,19 @@ def test_quantifier_over_num_is_rejected(twotoss):
 def test_quantifier_over_prop_is_rejected(twotoss):
     with pytest.raises(UnenumerableQuantifier):
         infer(twotoss, "forall p : prop . p")
+
+
+def test_quantifier_needs_a_lambda(coin):
+    # the surface syntax always builds one; a library caller may not
+    with pytest.raises(TypeMismatch) as info:
+        infer_type(App(Sym(FORALL), free("heads")), env_of(coin))
+    assert info.value.message == "expected lambda, found obj -> prop for 'forall'"
+
+
+def test_nil_on_both_sides_has_no_instance(montyhall):
+    with pytest.raises(TypeMismatch) as info:
+        infer(montyhall, "nil = nil")
+    assert info.value.message == "expected applied occurrence, found bare builtin 'nil'"
 
 
 def test_q_trace_length_mismatch(twotoss):
