@@ -2,7 +2,9 @@
 
 A space is a list of named outcomes with exact rational masses summing
 to 1. Events are set expressions over outcome names: singletons, unions,
-intersections and complements.
+intersections and complements. Outcome names follow the one name rule of
+every input format, `syntax.NAME`, so each is also a valid state name, and
+`.pspace` comments are those of `parser.strip_comment`.
 
 `translate_space` turns a space into a one-step frame: a fresh initial
 state with a single `sample` action whose transitions land, with the
@@ -16,6 +18,7 @@ across an enumerated family of events.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +42,7 @@ from .model import (
     validate_model,
 )
 from .parser import parse_rational, strip_comment
-from .syntax import ACTION, PROP, BOT, Expr, conj, disj, free, neg, sym
+from .syntax import ACTION, BOT, NAME, PROP, Expr, conj, disj, free, neg, sym
 from .values import GroundAction, render_rational
 
 SAMPLE = GroundAction("sample", ())
@@ -184,7 +187,7 @@ def parse_set_expr(text: str) -> SetExpr:
         if peek() == "{":
             take()
             name = take()
-            if not name.isidentifier():
+            if not NAME.fullmatch(name):
                 raise ParseError(f"expected an outcome name, found '{name}'")
             take("}")
             return Singleton(name)
@@ -202,23 +205,12 @@ def parse_set_expr(text: str) -> SetExpr:
 
 
 def _set_tokens(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "{}~|&()":
-            out.append(c)
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"bad character '{c}' in event expression '{text}'")
+    """Names and single non-blank characters; only `{}~|&()` are allowed
+    besides names."""
+    out = re.findall(rf"{NAME.pattern}|\S", text)
+    for tok in out:
+        if not NAME.fullmatch(tok) and tok not in "{}~|&()":
+            raise ParseError(f"bad character '{tok}' in event expression '{text}'")
     if not out:
         raise ParseError("empty event expression")
     return out
@@ -254,7 +246,7 @@ def parse_space(text: str, source: str = "<space>") -> ProbabilitySpace:
             name = parts[1]
         elif line.startswith("outcomes:"):
             for o in line[len("outcomes:"):].split():
-                if not o.isidentifier():
+                if not NAME.fullmatch(o):
                     raise fail(f"outcome '{o}' is not an identifier")
                 outcomes.append(o)
         elif line.startswith("mass:"):

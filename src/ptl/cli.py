@@ -44,7 +44,7 @@ from .errors import (
 )
 from .evaluator import describe, evaluate
 from .model import Model, serialize_model, validate_model
-from .parser import parse, parse_formula_file, parse_model, parse_rational, strip_comment
+from .parser import ground_term, parse, parse_formula_file, parse_model, parse_rational, strip_comment
 from .syntax import Expr, RatLit
 from .typecheck import infer_type
 from .values import BoolV, GroundAction, RatV, render_rational, render_value
@@ -120,17 +120,11 @@ def _typecheck(model: Model, name: str, expr: Expr) -> None:
         raise
 
 
-_GROUND_ACTION = re.compile(
-    r"^\s*([A-Za-z_]\w*)\s*(?:\(\s*([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)\s*\))?\s*$"
-)
-
-
 def _parse_ground_action(text: str, model: Model) -> GroundAction:
-    m = _GROUND_ACTION.match(text)
-    if not m:
+    term = ground_term(text)
+    if term is None:
         raise ParseError(f"'{text}' is not a ground action (name or name(obj, ...))")
-    name = m.group(1)
-    args = tuple(a.strip() for a in m.group(2).split(",")) if m.group(2) else ()
+    name, args = term
     if name not in model.actions:
         raise UnknownAction(f"model {model.name} has no action '{name}'")
     if len(args) != model.actions[name]:

@@ -45,9 +45,8 @@ class TypeError_(PtlError):
 
 
 class TypeMismatch(TypeError_):
-    def __init__(self, expected: str, found: str, span: SourceSpan | None = None, context: str = ""):
-        where = f" in {context}" if context else ""
-        super().__init__(f"expected {expected}, found {found}{where}", span)
+    def __init__(self, expected: str, found: str, span: SourceSpan | None = None):
+        super().__init__(f"expected {expected}, found {found}", span)
         self.expected = expected
         self.found = found
 

@@ -41,8 +41,8 @@ from .errors import (
 )
 from .printer import print_formula
 from .syntax import (
+    ARITY,
     BOOL,
-    MODAL_ARITY,
     OBJ,
     STATE,
     App,
@@ -130,20 +130,19 @@ def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
                 codes.append(code)
                 # @ moves its body, the second argument, to a state of its own
                 independent = independent and (fact or (key == ("@", "hybrid") and i == 1))
-            arity, fn = _BUILTINS.get(key, (0, None))
+            arity = ARITY.get(key, 0)
             if key == ("@", "hybrid"):
                 if len(codes) == 1:
                     return _fail("'@' must be fully applied"), independent
                 run, codes = _at(model, codes[0], codes[1]), codes[2:]
             elif key is not None and key[1] == "modal":
-                n = MODAL_ARITY[key[0]]
-                if len(codes) < n:
+                if len(codes) < arity:
                     return _fail(f"'{key[0]}' must be fully applied"), False
-                action, *prob, body = codes[:n]  # dia{p} has a probability
+                action, *prob, body = codes[:arity]  # dia{p} has a probability
                 run = _modal(model, action, prob[0] if prob else None, body, key[0] == "box")
-                codes, independent = codes[n:], False
+                codes, independent = codes[arity:], False
             elif 0 < arity <= len(codes):
-                run, codes = _call(model, fn, head.span, codes[:arity]), codes[arity:]
+                run, codes = _call(model, _BUILTINS[key], head.span, codes[:arity]), codes[arity:]
             return _applied(run, codes), independent
     return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False
 
@@ -157,10 +156,10 @@ def _fail(message: str, span=None) -> Code:
 
 def _compile_symbol(model: Model, name: str, kind: str, span) -> tuple[Code, bool]:
     if kind not in ("var", "free"):
-        builtin = _BUILTINS.get((name, kind))
-        if builtin is None:
+        fn = _BUILTINS.get((name, kind))
+        if fn is None:
             return _fail(f"builtin '{name}' has no direct denotation", span), True
-        arity, fn = builtin
+        arity = ARITY[name, kind]
         if not arity:
             value = fn(model, "", span)
             return (lambda state, env: value), True
@@ -445,31 +444,33 @@ def _divide(a: Value, b: Value) -> Value:
     return RatV(_num(a) / d)
 
 
-# (name, kind) -> (arity, fn); fn(model, state, span, *operands) gets the
-# state the builtin is applied at and the span of its symbol
-_BUILTINS: dict[tuple[str, str], tuple[int, Callable[..., Value]]] = {
-    ("true", "logical"): (0, lambda m, w, sp: TRUE),
-    ("false", "logical"): (0, lambda m, w, sp: FALSE),
-    ("~", "logical"): (1, lambda m, w, sp, a: BoolV(not _bool(a))),
-    ("/\\", "logical"): (2, lambda m, w, sp, a, b: BoolV(_bool(a) and _bool(b))),
-    ("\\/", "logical"): (2, lambda m, w, sp, a, b: BoolV(_bool(a) or _bool(b))),
-    ("->", "logical"): (2, lambda m, w, sp, a, b: BoolV((not _bool(a)) or _bool(b))),
-    ("<->", "logical"): (2, lambda m, w, sp, a, b: BoolV(_bool(a) == _bool(b))),
-    ("=", "rel"): (2, lambda m, w, sp, a, b: BoolV(values_equal(a, b))),
-    ("<", "rel"): (2, lambda m, w, sp, a, b: BoolV(_num(a) < _num(b))),
-    ("+", "arith"): (2, lambda m, w, sp, a, b: RatV(_num(a) + _num(b))),
-    ("*", "arith"): (2, lambda m, w, sp, a, b: RatV(_num(a) * _num(b))),
-    ("/", "arith"): (2, lambda m, w, sp, a, b: _divide(a, b)),
-    ("nil", "list"): (0, lambda m, w, sp: ListV(())),
-    ("::", "list"): (2, lambda m, w, sp, a, b: ListV((a,) + _list(b))),
-    ("in", "list"): (2, lambda m, w, sp, a, b: BoolV(any(values_equal(a, x) for x in _list(b)))),
-    ("|.|", "list"): (1, lambda m, w, sp, a: RatV(Fraction(len(_list(a))))),
-    ("-", "list"): (2, lambda m, w, sp, a, b: ListV(
+# (name, kind) -> fn, for the builtins with a denotation (all but @ and the
+# modal operators); fn(model, state, span, *operands), with as many operands
+# as `syntax.ARITY` gives, gets the state the builtin is applied at and the
+# span of its symbol
+_BUILTINS: dict[tuple[str, str], Callable[..., Value]] = {
+    ("true", "logical"): lambda m, w, sp: TRUE,
+    ("false", "logical"): lambda m, w, sp: FALSE,
+    ("~", "logical"): lambda m, w, sp, a: BoolV(not _bool(a)),
+    ("/\\", "logical"): lambda m, w, sp, a, b: BoolV(_bool(a) and _bool(b)),
+    ("\\/", "logical"): lambda m, w, sp, a, b: BoolV(_bool(a) or _bool(b)),
+    ("->", "logical"): lambda m, w, sp, a, b: BoolV((not _bool(a)) or _bool(b)),
+    ("<->", "logical"): lambda m, w, sp, a, b: BoolV(_bool(a) == _bool(b)),
+    ("=", "rel"): lambda m, w, sp, a, b: BoolV(values_equal(a, b)),
+    ("<", "rel"): lambda m, w, sp, a, b: BoolV(_num(a) < _num(b)),
+    ("+", "arith"): lambda m, w, sp, a, b: RatV(_num(a) + _num(b)),
+    ("*", "arith"): lambda m, w, sp, a, b: RatV(_num(a) * _num(b)),
+    ("/", "arith"): lambda m, w, sp, a, b: _divide(a, b),
+    ("nil", "list"): lambda m, w, sp: ListV(()),
+    ("::", "list"): lambda m, w, sp, a, b: ListV((a,) + _list(b)),
+    ("in", "list"): lambda m, w, sp, a, b: BoolV(any(values_equal(a, x) for x in _list(b))),
+    ("|.|", "list"): lambda m, w, sp, a: RatV(Fraction(len(_list(a)))),
+    ("-", "list"): lambda m, w, sp, a, b: ListV(
         tuple(x for x in _list(a) if not values_equal(x, b))
-    )),
-    ("in", "hybrid"): (1, lambda m, w, sp, v: BoolV(isinstance(v, StateV) and v.name == w)),
-    ("forall", "quant"): (1, lambda m, w, sp, f: BoolV(all(_instances(m, sp, f)))),
-    ("exists", "quant"): (1, lambda m, w, sp, f: BoolV(any(_instances(m, sp, f)))),
+    ),
+    ("in", "hybrid"): lambda m, w, sp, v: BoolV(isinstance(v, StateV) and v.name == w),
+    ("forall", "quant"): lambda m, w, sp, f: BoolV(all(_instances(m, sp, f))),
+    ("exists", "quant"): lambda m, w, sp, f: BoolV(any(_instances(m, sp, f))),
 }
 
 

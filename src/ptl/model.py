@@ -15,7 +15,6 @@ function of the spec; validating the same spec twice yields equal models.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .syntax import (
     ACTION,
+    NAME,
     NUM,
     OBJ,
     STATE,
@@ -131,7 +131,9 @@ class Model:
     rigid: dict[str, tuple[Type, Value]]
     actions: dict[str, int]  # action name -> obj arity
     valuation: frozenset[tuple[str, str, AtomArgs]]
-    spec: ModelSpec = field(compare=False, repr=False, default=None)
+    # the valuation's atom instances with a numeric argument, in declaration
+    # order: their argument types do not enumerate them
+    numeric_instances: tuple[tuple[str, AtomArgs], ...] = field(compare=False, repr=False)
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -157,22 +159,12 @@ class Model:
     def ground_atoms(self) -> list[Expr]:
         """The finite formula family used when independence checks get no
         explicit propositions: every ground atom instance of the model."""
-        out: list[Expr] = []
-        seen: set[tuple[str, AtomArgs]] = set()
-        for name, arg_types in self.atoms.items():
-            if all(ty == OBJ for ty in arg_types):
-                for combo in itertools.product(self.objects, repeat=len(arg_types)):
-                    if (name, combo) not in seen:
-                        seen.add((name, combo))
-                        out.append(_atom_expr(name, combo))
-        # numeric-argument atoms cannot be enumerated from a type; take the
-        # instances the valuation mentions
-        for entry in self.spec.valuation if self.spec else []:
-            key = (entry.atom, tuple(entry.args))
-            if key not in seen and any(isinstance(a, Fraction) for a in entry.args):
-                seen.add(key)
-                out.append(_atom_expr(entry.atom, tuple(entry.args)))
-        return out
+        out = [
+            _atom_expr(name, combo)
+            for name, arg_types in self.atoms.items() if all(ty == OBJ for ty in arg_types)
+            for combo in itertools.product(self.objects, repeat=len(arg_types))
+        ]
+        return out + [_atom_expr(name, args) for name, args in self.numeric_instances]
 
     def __hash__(self):
         return hash((self.name, self.frame.states))
@@ -196,8 +188,6 @@ def _atom_expr(name: str, args: AtomArgs) -> Expr:
 
 # ---------- validation ----------
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-
 RIGID_DATA = (OBJ, NUM, STATE)
 
 
@@ -216,7 +206,7 @@ def validate_model(spec: ModelSpec) -> Model:
     names: dict[str, str] = {}
 
     def declare(name: str, kind: str) -> None:
-        if not _NAME.fullmatch(name):
+        if not NAME.fullmatch(name):
             raise ModelError(f"{kind} name {name!r} is not an identifier")
         if name in names:
             raise DuplicateDeclaration(
@@ -298,6 +288,7 @@ def validate_model(spec: ModelSpec) -> Model:
             raise ProbabilitySumError.transitions(state, str(ga), total)
 
     valuation: set[tuple[str, str, AtomArgs]] = set()
+    numeric_instances: dict[tuple[str, AtomArgs], None] = {}
     for entry in spec.valuation:
         if entry.state != "*" and entry.state not in spec.states:
             raise UnknownState(f"valuation for unknown state {entry.state}")
@@ -315,9 +306,12 @@ def validate_model(spec: ModelSpec) -> Model:
                     raise UnknownObject(f"atom argument {a} is not a declared object")
             elif not isinstance(a, Fraction):
                 raise ModelError(f"atom argument {a} should be a number")
+        args = tuple(entry.args)
         targets = spec.states if entry.state == "*" else [entry.state]
         for s in targets:
-            valuation.add((s, entry.atom, tuple(entry.args)))
+            valuation.add((s, entry.atom, args))
+        if any(isinstance(a, Fraction) for a in args):
+            numeric_instances[entry.atom, args] = None
 
     frame = Frame(
         states=tuple(spec.states),
@@ -332,7 +326,7 @@ def validate_model(spec: ModelSpec) -> Model:
         rigid=rigid,
         actions=actions,
         valuation=frozenset(valuation),
-        spec=spec,
+        numeric_instances=tuple(numeric_instances),
     )
 
 

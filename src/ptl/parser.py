@@ -11,9 +11,16 @@ relation-level body, so `dia[t]{1/2} heads(c) /\\ X` scopes the diamond over
 the application only. ASCII keywords and the usual unicode glyphs are both
 accepted; decimal literals become exact rationals during parsing, and a
 division of two literals is folded into one rational, so 0.5, 1/2 and 2/4
-all parse to the same term. Comments run from `--` to end of line; the
-marker must be followed by whitespace so that transition arrows `--a-->`
-in model files stay unambiguous.
+all parse to the same term.
+
+The lexical rules are shared by every input format. A name is
+`syntax.NAME`; a number is ASCII digits; a comment runs from `--` to end
+of line when the marker is followed by a blank or ends the line, wherever
+it stands (`_COMMENT`, used by `tokenize` and `strip_comment`), so the
+transition arrows `--a-->` of model files are not comments; a ground term
+`name(arg, ...)` in a model file or a CLI argument is read by
+`ground_term`. `tokenize` is one regular expression with a named group
+per token class.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .syntax import (
     LENGTH,
     LT,
     MEMBER,
+    NAME,
     NIL,
     NOT,
     OR,
@@ -95,9 +103,21 @@ _PUNCT = [
 _CONNECTIVES = (("<->", IFF), ("->", IMP), ("\\/", OR), ("/\\", AND))
 _PREFIX_LEVEL = len(_CONNECTIVES)
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_DEC = re.compile(r"\d+\.\d+")
-_INT = re.compile(r"\d+")
+# `--` starts a comment only before a blank or the end of the line, so the
+# arrows `--a-->` of model files are not comments
+_COMMENT = re.compile(r"--(?=[ \t\r\n]|$)[^\n]*")
+
+# one alternative per token class, tried in order at each position; a run
+# of blanks, newlines and comments is one `skip` match
+_TOKEN = re.compile("|".join([
+    rf"(?P<skip>(?:[ \t\r\n]|{_COMMENT.pattern})+)",
+    r"(?P<dec>[0-9]+\.[0-9]+)",
+    r"(?P<int>[0-9]+)",
+    rf"(?P<ident>{NAME.pattern})",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    "(?P<glyph>[" + "".join(GLYPHS) + "])",
+    "(?P<bad>.)",
+]), re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -109,54 +129,23 @@ class Token:
 
 def tokenize(text: str, source: str = "<formula>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = m.start() + word.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i) and (i + 2 >= n or text[i + 2] in " \t\r\n"):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(source, line, col)
-        if c in GLYPHS:
-            tokens.append(Token(GLYPHS[c], c, span))
-            i += 1
-            col += 1
-            continue
-        m = _DEC.match(text, i) or _INT.match(text, i)
-        if m:
-            kind = "dec" if "." in m.group() else "int"
-            tokens.append(Token(kind, m.group(), span))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group()
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span))
-            col += len(word)
-            i = m.end()
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, span))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", span)
-    tokens.append(Token("eof", "", SourceSpan(source, line, col)))
+        span = SourceSpan(source, line, m.start() - line_start + 1)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", span)
+        if kind == "punct" or (kind == "ident" and word in KEYWORDS):
+            kind = word
+        elif kind == "glyph":
+            kind = GLYPHS[word]
+        tokens.append(Token(kind, word, span))
+    tokens.append(Token("eof", "", SourceSpan(source, line, len(text) - line_start + 1)))
     return tokens
 
 
@@ -483,7 +472,7 @@ def parse_rational(text: str, span: SourceSpan | None = None) -> Fraction:
 
 # ---------- formula files ----------
 
-_DEF = re.compile(r"^def\s+([A-Za-z_][A-Za-z0-9_']*)\s*:=\s*(.*)$")
+_DEF = re.compile(rf"^def\s+({NAME.pattern})\s*:=\s*(.*)$")
 
 
 def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
@@ -527,7 +516,7 @@ def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
 
 
 def strip_comment(line: str) -> str:
-    m = re.search(r"(?:^|(?<=\s))--(?=\s|$)", line)
+    m = _COMMENT.search(line)
     return line[: m.start()] if m else line
 
 
@@ -589,7 +578,10 @@ def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: i
         if not m:
             raise ParseError(f"malformed transition {line!r}", span)
         source_state, action_text, target, prob_text = m.groups()
-        head, args = _ground_action_text(action_text.strip(), span)
+        term = ground_term(action_text)
+        if term is None:
+            raise ParseError(f"malformed action term {action_text.strip()!r}", span)
+        head, args = term
         spec.transitions.append(
             TransitionDecl(source_state, head, args, target, parse_rational(prob_text, span))
         )
@@ -600,21 +592,33 @@ def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: i
             raise ParseError(f"expected 'state : atoms', found {line!r}", span)
         state = state.strip()
         for part in _split_atoms(rhs.strip(), span):
-            atom, args = _atom_instance_text(part, span)
+            term = ground_term(part)
+            if term is None:
+                raise ParseError(f"malformed atom {part!r}", span)
+            atom, texts = term
+            # an argument is an object name or a number
+            args = tuple(a if NAME.fullmatch(a) else parse_rational(a, span) for a in texts)
             spec.valuation.append(ValuationDecl(state, atom, args))
         return
     raise ParseError(f"unexpected content in section {section}: {line!r}", span)
 
 
-def _ground_action_text(text: str, span: SourceSpan) -> tuple[str, tuple[str, ...]]:
-    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_']*)(?:\((.*)\))?", text)
+_GROUND_TERM = re.compile(rf"({NAME.pattern})(?:\((.*)\))?")
+
+
+def ground_term(text: str) -> tuple[str, tuple[str, ...]] | None:
+    """`name` or `name(arg, ...)`, blanks around it ignored: the name and
+    the argument texts, stripped (none for `name()`), or None for any other
+    shape. Transition actions, valuation atoms and CLI action arguments are
+    read with it; each caller checks the arguments and words its own
+    error."""
+    m = _GROUND_TERM.fullmatch(text.strip())
     if not m:
-        raise ParseError(f"malformed action term {text!r}", span)
-    head, arg_text = m.group(1), m.group(2)
-    if arg_text is None or not arg_text.strip():
-        return head, ()
-    args = tuple(a.strip() for a in arg_text.split(","))
-    return head, args
+        return None
+    name, inner = m.groups()
+    if inner is None or not inner.strip():
+        return name, ()
+    return name, tuple(a.strip() for a in inner.split(","))
 
 
 def _split_atoms(text: str, span: SourceSpan) -> list[str]:
@@ -636,20 +640,3 @@ def _split_atoms(text: str, span: SourceSpan) -> list[str]:
     if not parts:
         raise ParseError("empty valuation entry", span)
     return parts
-
-
-def _atom_instance_text(text: str, span: SourceSpan):
-    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_']*)(?:\((.*)\))?", text)
-    if not m:
-        raise ParseError(f"malformed atom {text!r}", span)
-    atom, arg_text = m.group(1), m.group(2)
-    if arg_text is None or not arg_text.strip():
-        return atom, ()
-    args: list[object] = []
-    for part in arg_text.split(","):
-        part = part.strip()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", part):
-            args.append(part)
-        else:
-            args.append(parse_rational(part, span))
-    return atom, tuple(args)

@@ -10,7 +10,7 @@ something that would not reparse.
 from __future__ import annotations
 
 from .syntax import (
-    MODAL_ARITY,
+    ARITY,
     App,
     Expr,
     Lam,
@@ -85,10 +85,9 @@ def _render(e: Expr) -> tuple[str, int]:
 
 def _render_app(e: App) -> tuple[str, int]:
     head, args = spine(e)
-    if isinstance(head, Sym) and head.symbol.kind == "modal":
-        n = MODAL_ARITY[head.symbol.name]
-        if len(args) > n:  # a modal formula applied further prints as a call
-            head, args = app(head, *args[:n]), args[n:]
+    n = ARITY.get((head.symbol.name, head.symbol.kind)) if isinstance(head, Sym) else None
+    if n is not None and len(args) > n:  # a builtin applied further prints as a call
+        head, args = app(head, *args[:n]), args[n:]
     if isinstance(head, Sym):
         s = head.symbol
         if s.kind in ("quant",) and len(args) == 1:

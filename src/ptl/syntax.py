@@ -19,10 +19,15 @@ bounds) are expanded by `desugar` before typechecking or evaluation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import SourceSpan
+
+# The one rule for a name in every input format: formula identifiers, def
+# names, model declarations, ground terms, outcomes and CLI arguments.
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 # ---------- types ----------
 
@@ -90,8 +95,7 @@ def is_atom_signature(ty: Type) -> bool:
 
 
 def atom_arg_types(ty: Type) -> tuple[Type, ...]:
-    """The argument types before the prop result, for an atom or a modal
-    operator."""
+    """The argument types of an atom signature, before its prop result."""
     args: list[Type] = []
     while ty != PROP:
         assert isinstance(ty, Arrow)
@@ -155,9 +159,16 @@ IN_STATE = Symbol("in", Arrow(STATE, PROP), "hybrid")
 BOX = Symbol("box", Arrow(ACTION, Arrow(PROP, PROP)), "modal")
 DIA = Symbol("dia", Arrow(ACTION, Arrow(PROP, PROP)), "modal")
 DIA_P = Symbol("dia{p}", Arrow(ACTION, Arrow(NUM, Arrow(PROP, PROP))), "modal")
-MODAL_ARITY = {m.name: len(atom_arg_types(m.type)) for m in (BOX, DIA, DIA_P)}
 FORALL = Symbol("forall", None, "quant")  # (tau -> prop) -> prop
 EXISTS = Symbol("exists", None, "quant")
+
+# the operand count of every builtin, keyed by (name, kind)
+ARITY = {(s.name, s.kind): n for n, symbols in (
+    (0, (TOP, BOT, NIL)),
+    (1, (NOT, LENGTH, IN_STATE, FORALL, EXISTS)),
+    (2, (AND, OR, IMP, IFF, EQ, LT, PLUS, TIMES, DIV, CONS, MEMBER, DIFF, AT, BOX, DIA)),
+    (3, (DIA_P,)),
+) for s in symbols}
 
 
 # ---------- terms ----------

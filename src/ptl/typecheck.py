@@ -13,6 +13,7 @@ from __future__ import annotations
 from .errors import LengthMismatch, TypeMismatch, UnboundSymbol, UnenumerableQuantifier
 from .syntax import (
     ACTION,
+    ARITY,
     ENUMERABLE,
     NUM,
     PROP,
@@ -116,10 +117,6 @@ def _infer_app(expr: Expr, env: TypeEnv) -> Type:
     return fn_type.dst
 
 
-# operand counts of the polymorphic builtins
-_OPERANDS = {"=": 2, "::": 2, "in": 2, "|.|": 1, "-": 2, "forall": 1, "exists": 1}
-
-
 def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Type:
     s = head.symbol
     if s.type is not None:
@@ -133,8 +130,8 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
         return ty
 
     name, span = s.name, expr.span
-    count = _OPERANDS.get(name)
-    if count is not None and len(args) != count:
+    count = ARITY.get((name, s.kind))
+    if count and len(args) != count:
         operands = "one operand" if count == 1 else "two operands"
         raise TypeMismatch(operands, f"{len(args)} for '{name}'", span)
     if name == "=":

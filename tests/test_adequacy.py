@@ -138,6 +138,17 @@ def test_space_header_is_the_word_space():
         parse_space("spaceship die\n" + text)
 
 
+def test_outcome_names_follow_the_name_rule():
+    with pytest.raises(ParseError, match="^s.pspace:2: outcome 'café' is not an identifier"):
+        parse_space("space s\noutcomes: café x\nmass: café 1\nmass: x 0\n", source="s.pspace")
+    space = parse_space("space s\noutcomes: x' y\nmass: x' 1/3\nmass: y 2/3\n")
+    assert space.outcomes == ("x'", "y")
+    assert check_adequacy(space).verdict == "satisfied"
+    e = parse_set_expr("{x'} | ~{y}")
+    assert e == Union(Singleton("x'"), Complement(Singleton("y")))
+    assert parse_set_expr(render_set_expr(e)) == e
+
+
 def test_space_files_round_trip():
     for name in ("die.pspace", "biased2.pspace"):
         space = parse_space(corpus_text(name), source=name)

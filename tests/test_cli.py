@@ -341,6 +341,19 @@ def test_independent_satisfied_for_repeated_tosses(capsys):
     assert "satisfied" in out
 
 
+def test_independent_reads_a_primed_action_name(capsys, tmp_path):
+    model = tmp_path / "flip.ptlm"
+    model.write_text(
+        "model flip\nstates s0 s1\ninitial s0\n"
+        "actions\n  flip' : action\n  b : action\ntypes\n  p : prop\n"
+        "transitions\n  s0 --flip'--> s1 @ 1\n  s1 --flip'--> s0 @ 1\n"
+        "  s0 --b--> s0 @ 1\n  s1 --b--> s1 @ 1\nvaluation\n  s1 : p\n"
+    )
+    code, out, err = run(capsys, "independent", str(model), "flip'", "b")
+    assert (code, err) == (0, "")
+    assert out.startswith("independence of flip' from b over all ground atoms\nsatisfied")
+
+
 # ---------- translate and adequacy ----------
 
 def test_translate_emits_a_valid_model(capsys, tmp_path):

@@ -28,6 +28,7 @@ from ptl.model import (
     serialize_model,
     successors,
 )
+from ptl.printer import print_formula
 from ptl.syntax import ACTION, PROP, Arrow, OBJ
 from ptl.values import GroundAction
 
@@ -241,6 +242,20 @@ def test_ground_atoms_enumerates_instances(twotoss):
 
     rendered = {print_formula(a) for a in atoms}
     assert rendered == {"H(c)", "T(c)"}
+
+
+def test_ground_atoms_ignore_the_spec_after_validation():
+    spec = parse_model("model m\nstates s0\ntypes\n  level : num -> prop\nvaluation\n  s0 : level(1)\n")
+    model = validate_model(spec)
+    spec.valuation.append(ValuationDecl("s0", "level", (Fraction(3),)))
+    assert [print_formula(a) for a in model.ground_atoms()] == ["level(1)"]
+
+
+def test_a_comment_may_follow_a_valuation_atom_directly():
+    text = "model m\nstates s0\ntypes\n  p : prop\nvaluation\n  s0 : p{}\n"
+    assert validate_model(parse_model(text.format("-- note"))) == validate_model(
+        parse_model(text.format(""))
+    )
 
 
 def test_type_env_exposes_signatures(twotoss):

@@ -16,7 +16,7 @@ from conftest import CORPUS, corpus_text
 from ptl import parse, parse_formula, parse_formula_file, parse_model, validate_model
 from ptl.errors import ParseError
 from ptl.model import serialize_model
-from ptl.parser import parse_rational, parse_type
+from ptl.parser import parse_rational, parse_type, tokenize
 from ptl.printer import print_formula
 from ptl.syntax import (
     ACTION,
@@ -285,6 +285,32 @@ def test_double_dash_comment_needs_following_whitespace():
         parse("(a :: nil) --x")
 
 
+# lexemes whose concatenations all tokenize: names, keywords, numbers,
+# punctuation, glyphs, blanks, newlines and comments
+LEXEMES = [
+    "p", "x'", "_q1", "Q", "dia", "forall", "0", "42", "0.25", "(", ")", "[", "]",
+    "{", "}", ";", ",", ".", ":", "|", "~", "=", "<", ">", "+", "*", "/", "-", "@",
+    "<->", "->", "::", "/\\", "\\/", "!=", ":=", "∧", "¬", "λ", "□",
+    " ", "\t", "\r", "\n", "-- note", "--",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LEXEMES), max_size=30).map("".join))
+def test_every_token_span_points_at_its_text(text):
+    lines = text.split("\n")
+    *tokens, eof = tokenize(text)
+    for t in tokens:
+        assert lines[t.span.line - 1][t.span.column - 1:].startswith(t.text), t
+    # end of input sits one column past the last character, comment or not
+    assert (eof.span.line, eof.span.column) == (len(lines), len(lines[-1]) + 1)
+
+
+def test_numbers_are_ascii_digits():
+    with pytest.raises(ParseError, match="unexpected character '٣'"):
+        parse("Q[](p) = ٣/٤")
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse("Q[t](H) = = 1")
@@ -357,6 +383,13 @@ def test_rationals_survive_round_trips_exactly():
         "Q[t; t](H; T) = Q[t](H) * Q[t](T)",
         "in(s0) \\/ ~ in(s0)",
         "forall b : bool . b = b",
+        # builtins applied to more arguments than they take
+        "(p /\\ q)(s1)",
+        "(@s0 p)(s1)",
+        "(~ p)(s1)",
+        "(x = y)(s1)",
+        "|l|(x)",
+        "(Q[](p) + 1)(x)",
     ],
 )
 def test_assorted_forms_round_trip(text):
