@@ -6,12 +6,19 @@ trail of the choices that lead to a failing subformula), an optional exact
 rational for numeric queries, warnings, and free-form details. Reports
 serialize to JSON with rationals as "p/q" strings and parse back losslessly.
 
+A check compiles its formula once (`evaluator.compile_expr`), a comparison
+as its relation and two sides, and runs it at each state it visits. The
+compiler's facts say whether the formula reads the current state outside
+`@` and which side of a comparison holds a Q, the side whose number a
+report records.
+
 Entailment here is relative to a supplied family of models, not to all
 models of the signature; the CLI says so in its output header.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,15 +26,15 @@ from .errors import LengthMismatch, PtlError
 from .evaluator import (
     _ground_action,
     apply_value,
+    compile_expr,
     describe,
     eval_q,
     eval_q_trace,
     evaluate,
-    state_independent,
     truth,
 )
 from .model import Model, successors
-from .syntax import App, Expr, Lam, Q, Sym, Symbol, conj
+from .syntax import App, Expr, Lam, Sym, Symbol, conj
 from .values import BoolV, GroundAction, RatV, StateV, render_rational, render_value
 
 SATISFIED = "satisfied"
@@ -90,30 +97,7 @@ def satisfies(model: Model, state: str, formula: Expr) -> CheckReport:
     """Truth of a formula at one state. A comparison gets both side values
     and the value of its probability side recorded; violations get a
     witness trail."""
-    sides = comparison(formula)
-    try:
-        if sides is None:
-            value = evaluate(model, state, formula)
-        else:
-            rel, lhs, rhs = sides
-            op = evaluate(model, state, rel)
-            lv, rv = evaluate(model, state, lhs), evaluate(model, state, rhs)
-            value = apply_value(apply_value(op, lv), rv)
-    except PtlError as exc:
-        return _error_report(exc)
-    if isinstance(value, RatV):
-        return CheckReport(SATISFIED, numeric=value.value,
-                           details={"kind": "numeric", "value": render_rational(value.value)})
-    if not isinstance(value, BoolV):
-        return CheckReport(ERROR, message=f"formula evaluated to {render_value(value)}")
-    report = CheckReport(SATISFIED if value.value else VIOLATED)
-    if sides is not None and isinstance(lv, RatV) and isinstance(rv, RatV):
-        report.details.update(lhs=render_rational(lv.value), rhs=render_rational(rv.value))
-        report.numeric = (lv if _mentions_q(lhs) or not _mentions_q(rhs) else rv).value
-    if not value.value:
-        trail = _drill(model, state, formula, {})
-        report.witness = {"state": _trail_state(trail, state), "trail": trail}
-    return report
+    return _checker(model, formula)[0](state)
 
 
 def comparison(formula: Expr) -> tuple[Expr, Expr, Expr] | None:
@@ -127,16 +111,13 @@ def comparison(formula: Expr) -> tuple[Expr, Expr, Expr] | None:
 
 def globally_satisfies(model: Model, formula: Expr) -> CheckReport:
     """Truth at every state, in declaration order; the first violating
-    state is reported.
-
-    A state-independent formula (`evaluator.state_independent`: every
-    read of the current state sits under `@`, as in `forall w : state .
-    @w phi`) has the same value, or the same error, at every state, so it
-    is checked at the first state only. That is the state the full loop
-    would report, so the report is the same either way."""
-    states = model.states[:1] if state_independent(model, formula) else model.states
-    for state in states:
-        report = satisfies(model, state, formula)
+    state is reported. A formula that reads the current state only under
+    `@`, as in `forall w : state . @w phi`, has the same value, or the same
+    error, at every state, so it is checked at the first state only: the
+    state the full loop would report."""
+    check, independent = _checker(model, formula)
+    for state in model.states[:1] if independent else model.states:
+        report = check(state)
         if report.verdict == ERROR:
             report.message = f"at state {state}: {report.message}"
             return report
@@ -146,16 +127,37 @@ def globally_satisfies(model: Model, formula: Expr) -> CheckReport:
     return CheckReport(SATISFIED, details={"states_checked": len(model.states)})
 
 
-def _mentions_q(e: Expr) -> bool:
-    match e:
-        case Q():
-            return True
-        case App(fn, arg):
-            return _mentions_q(fn) or _mentions_q(arg)
-        case Lam(_, body):
-            return _mentions_q(body)
-        case _:
-            return False
+def _checker(model: Model, formula: Expr) -> tuple[Callable[[str], CheckReport], bool]:
+    """`check(state)`, the report of formula at a state, and whether the
+    formula has one report at every state; the numeric side of a
+    comparison is the one with a Q, preferring the left."""
+    sides = comparison(formula)
+    compiled = [compile_expr(model, e) for e in sides or (formula,)]
+    left = sides is not None and (compiled[1][2] or not compiled[2][2])
+
+    def check(state: str) -> CheckReport:
+        try:
+            model.frame.require(state)
+            values = [code(state, {}) for code, _, _ in compiled]
+            value = values[0] if sides is None else apply_value(apply_value(*values[:2]), values[2])
+        except PtlError as exc:
+            return _error_report(exc)
+        if isinstance(value, RatV):
+            return CheckReport(SATISFIED, numeric=value.value,
+                               details={"kind": "numeric", "value": render_rational(value.value)})
+        if not isinstance(value, BoolV):
+            return CheckReport(ERROR, message=f"formula evaluated to {render_value(value)}")
+        report = CheckReport(SATISFIED if value.value else VIOLATED)
+        if sides is not None and all(isinstance(v, RatV) for v in values[1:]):
+            lv, rv = values[1].value, values[2].value
+            report.details.update(lhs=render_rational(lv), rhs=render_rational(rv))
+            report.numeric = lv if left else rv
+        if not value.value:
+            trail = _drill(model, state, formula, {})
+            report.witness = {"state": _trail_state(trail, state), "trail": trail}
+        return report
+
+    return check, all(independent for _, independent, _ in compiled)
 
 
 def _trail_state(trail: list[dict], default: str) -> str:

@@ -408,8 +408,8 @@ def cmd_corpus(args) -> int:
 
 
 def _run_row(root, models, formulas, model_file, formula_ref, state_field, expect):
-    """One manifest row; returns (passed, got-description). Errors count
-    as failures, never abort the run."""
+    """One manifest row; returns (passed, got-description). Errors, a
+    missing file included, count as failures, never abort the run."""
     try:
         if model_file not in models:
             models[model_file] = validate_model(
@@ -447,7 +447,7 @@ def _run_row(root, models, formulas, model_file, formula_ref, state_field, expec
             return False, report.verdict
         got = f"{report.verdict}, {render_rational(report.numeric)}"
         return report.verdict == SATISFIED and report.numeric == expected, got
-    except PtlError as exc:
+    except (PtlError, OSError) as exc:
         return False, f"error: {exc}"
 
 

@@ -12,7 +12,8 @@ Each entry call compiles its term once (`compile_expr`) into a closure
 `run(state, env) -> Value` and runs it. Compiling settles what the model
 fixes before any state is visited: each symbol's meaning, which
 applications fully apply a builtin (these call its n-ary function in
-`_BUILTINS`), and whether the term reads the current state. It raises
+`_BUILTINS`), whether the term reads the current state outside @, and
+whether it contains a Q; the checker takes both facts from there. It raises
 nothing: an unknown symbol, a bare or partly applied @ or modal operator, a
 missing builtin or an unenumerable domain raises when its node runs, so a
 body that never runs (under a box over a disabled action, in a dropped Q
@@ -94,57 +95,54 @@ def eval_arith(model: Model, state: str, expr: Expr, env: Env | None = None) -> 
     return _num(evaluate(model, state, expr, env))
 
 
-def state_independent(model: Model, expr: Expr) -> bool:
-    """True when expr has the same value, or raises the same error, at
-    every state; see `compile_expr`."""
-    return compile_expr(model, expr)[1]
-
-
-def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool]:
-    """The closure `run(state, env)` that evaluates expr, and the fact
-    `independent`. Only atoms, `in`, the modal operators and Q read the
-    current state; @ moves its body to a state of its own, closures run at
-    their captured state, and quantifier domains and rigid values are
-    plain data. So `independent` holds when every such read sits under @:
-    a sufficient test, not a complete one."""
+def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool, bool]:
+    """The closure `run(state, env)` that evaluates expr, and the facts
+    `independent` and `has_q`. Only atoms, `in`, the modal operators and Q
+    read the current state; @ moves its body to a state of its own,
+    closures run at their captured state, and quantifier domains and rigid
+    values are plain data. So `independent` holds when every such read
+    sits under @: then expr has the same value, or raises the same error,
+    at every state (a sufficient test, not a complete one). `has_q` holds
+    when expr contains a Q node anywhere, under @ and lambdas too."""
     match expr:
         case RatLit(v):
             value = RatV(v)
-            return (lambda state, env: value), True
+            return (lambda state, env: value), True, False
         case Sym(s):
-            return _compile_symbol(model, s.name, s.kind, expr.span)
+            return (*_compile_symbol(model, s.name, s.kind, expr.span), False)
         case Lam(param, body):
-            code, independent = compile_expr(model, body)
-            return (lambda state, env: ClosureV(param, code, dict(env), state)), independent
+            code, independent, has_q = compile_expr(model, body)
+            return (lambda state, env: ClosureV(param, code, dict(env), state)), independent, has_q
         case Q(actions, props):
             acts = [compile_expr(model, a)[0] for a in actions]
             tests = [compile_expr(model, p)[0] for p in props]
-            return (lambda state, env: RatV(_q(model, state, acts, tests, env))), False
+            return (lambda state, env: RatV(_q(model, state, acts, tests, env))), False, True
         case App():
             head, args = spine(expr)
-            run, independent = compile_expr(model, head)
+            run, independent, has_q = compile_expr(model, head)
             key = (head.symbol.name, head.symbol.kind) if isinstance(head, Sym) else None
             codes = []
             for i, arg in enumerate(args):  # a loop: a comprehension adds a frame per level
-                code, fact = compile_expr(model, arg)
+                code, fact, q = compile_expr(model, arg)
                 codes.append(code)
                 # @ moves its body, the second argument, to a state of its own
                 independent = independent and (fact or (key == ("@", "hybrid") and i == 1))
+                has_q = has_q or q
             arity = ARITY.get(key, 0)
             if key == ("@", "hybrid"):
                 if len(codes) == 1:
-                    return _fail("'@' must be fully applied"), independent
+                    return _fail("'@' must be fully applied"), independent, has_q
                 run, codes = _at(model, codes[0], codes[1]), codes[2:]
             elif key is not None and key[1] == "modal":
                 if len(codes) < arity:
-                    return _fail(f"'{key[0]}' must be fully applied"), False
+                    return _fail(f"'{key[0]}' must be fully applied"), False, has_q
                 action, *prob, body = codes[:arity]  # dia{p} has a probability
                 run = _modal(model, action, prob[0] if prob else None, body, key[0] == "box")
                 codes, independent = codes[arity:], False
             elif 0 < arity <= len(codes):
                 run, codes = _call(model, _BUILTINS[key], head.span, codes[:arity]), codes[arity:]
-            return _applied(run, codes), independent
-    return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False
+            return _applied(run, codes), independent, has_q
+    return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False, False
 
 
 def _fail(message: str, span=None) -> Code:

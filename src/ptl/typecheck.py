@@ -131,8 +131,8 @@ def _infer_builtin(expr: Expr, head: Sym, args: list[Expr], env: TypeEnv) -> Typ
 
     name, span = s.name, expr.span
     count = ARITY.get((name, s.kind))
-    if count and len(args) != count:
-        operands = "one operand" if count == 1 else "two operands"
+    if count is not None and len(args) != count:
+        operands = ("no operands", "one operand", "two operands")[count]
         raise TypeMismatch(operands, f"{len(args)} for '{name}'", span)
     if name == "=":
         # a bare nil on the left takes its instance from the right

@@ -438,6 +438,23 @@ def test_corpus_rational_row_names_a_value_that_is_no_number(capsys, tmp_path):
     assert "FAIL [coin] coin.ptlm f.ptl#pred - expect 1/2 (got error: formula evaluated to " in out
 
 
+def test_corpus_counts_a_missing_file_as_a_failed_row(capsys, tmp_path):
+    for name in ("coin.ptlm", "coin.ptl"):
+        (tmp_path / name).write_text(corpus_text(name))
+    (tmp_path / "manifest.txt").write_text(
+        "[coin] nope.ptlm coin.ptl#heads_prob - expect 1/2\n"
+        "[coin] coin.ptlm coin.ptl#heads_prob - expect 1/2\n"
+    )
+    code, out, _ = run(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith(
+        "FAIL [coin] nope.ptlm coin.ptl#heads_prob - expect 1/2 (got error: [Errno 2] "
+    )
+    assert lines[1] == "PASS [coin] coin.ptlm coin.ptl#heads_prob - expect 1/2"
+    assert lines[-2:] == ["coin: 1 passed, 1 failed", "total: 1 passed, 1 failed"]
+
+
 def test_corpus_malformed_row(capsys, tmp_path):
     (tmp_path / "manifest.txt").write_text("this is not a row\n")
     code, _, err = run(capsys, "corpus", str(tmp_path))

@@ -3,10 +3,10 @@
 `@` moves evaluation to a state of its own, so a formula whose every read
 of the current state sits under `@` (`forall w : state . @w phi`, `@s0
 phi`) has one value, or one error, at all states. `globally_satisfies`
-checks such a formula at the first state only. Here the syntactic test
-is pinned by a truth table, the saving by counting successor lookups, and
-the unchanged reports by a differential test against a loop over every
-state.
+checks such a formula at the first state only, and any formula is
+compiled once per check. Here the syntactic facts are pinned by a truth
+table, the savings by counting successor lookups and compiles, and the
+unchanged reports by a differential test against a loop over every state.
 """
 
 import dataclasses
@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from test_q_kernel import frames, random_frame
 
+import ptl.checker
+import ptl.evaluator
 from ptl import parse, parse_model, validate_model
 from ptl.checker import ERROR, SATISFIED, VIOLATED, CheckReport, globally_satisfies, satisfies
 from ptl.errors import UnknownState
-from ptl.evaluator import evaluate, state_independent, truth
+from ptl.evaluator import compile_expr, evaluate, truth
 from ptl.syntax import STATE
 from ptl.values import StateV
 
@@ -38,21 +40,35 @@ valuation
 """))
 
 
+TRUTH_TABLE = [
+    ("forall w : state . @w (p -> dia[a] q)", True, False),
+    ("@s0 Q[a](p) = 1", True, True),
+    ("1/2 < 1", True, False),
+    ("p", False, False),
+    ("in(s0)", False, False),
+    ("forall w : state . (in(w) -> @w p)", False, False),
+    ("p \\/ forall w : state . @w q", False, False),
+    ("box[a] true", False, False),
+    ("|p :: nil| = 1", False, False),
+    ("p /\\ @s0 (Q[a](p) = 1)", False, True),
+]
+
+
+# ids of the form text-independent, so the rows that predate has_q keep their ids
 @pytest.mark.parametrize(
-    "text, independent",
-    [
-        ("forall w : state . @w (p -> dia[a] q)", True),
-        ("@s0 Q[a](p) = 1", True),
-        ("1/2 < 1", True),
-        ("p", False),
-        ("in(s0)", False),
-        ("forall w : state . (in(w) -> @w p)", False),
-        ("p \\/ forall w : state . @w q", False),
-        ("box[a] true", False),
-    ],
+    "text, independent, has_q", TRUTH_TABLE, ids=[f"{t}-{i}" for t, i, _ in TRUTH_TABLE]
 )
-def test_state_independent_truth_table(text, independent):
-    assert state_independent(SMALL, parse(text)) is independent
+def test_state_independent_truth_table(text, independent, has_q):
+    _, *facts = compile_expr(SMALL, parse(text))
+    assert facts == [independent, has_q]
+
+
+def test_the_numeric_side_is_the_one_with_a_q_not_the_one_that_reads_the_state():
+    # both sides read the state at s0, only the right one through a Q
+    report = satisfies(SMALL, "s0", parse("|p :: nil| < Q[a](p) + 1"))
+    assert report.verdict == SATISFIED
+    assert report.numeric == 2
+    assert report.details == {"lhs": "1", "rhs": "2"}
 
 
 def every_state(model, formula):
@@ -80,6 +96,37 @@ def test_a_state_independent_formula_is_checked_at_one_state(successor_calls):
     report = globally_satisfies(model, formula)
     assert len(successor_calls) <= 60
     assert report.to_dict() == every_state(model, formula)
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The number of compile_expr calls not made by compile_expr itself."""
+    original, depth, count = ptl.evaluator.compile_expr, [0], [0]
+
+    def counted(model, expr):
+        count[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(model, expr)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ptl.evaluator, "compile_expr", counted)
+    monkeypatch.setattr(ptl.checker, "compile_expr", counted)
+    return count
+
+
+def test_a_global_check_compiles_its_formula_once(compiles):
+    # the formula reads the current state, so it runs at every state; a
+    # comparison compiles as its relation, left side and right side
+    formula = parse("Q[a](p) < 2")
+    counts = []
+    for n in (6, 60):
+        model, _, _ = random_frame(n, 3, seed=5)
+        compiles[0] = 0
+        assert globally_satisfies(model, formula).details == {"states_checked": n}
+        counts.append(compiles[0])
+    assert counts == [3, 3]
 
 
 # ---------- reports are unchanged ----------

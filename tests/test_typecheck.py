@@ -190,6 +190,12 @@ def test_nil_on_both_sides_has_no_instance(montyhall):
     assert info.value.message == "expected applied occurrence, found bare builtin 'nil'"
 
 
+def test_applied_nil_is_an_operand_count_error(coin):
+    with pytest.raises(TypeMismatch) as info:
+        infer(coin, "nil(c) = nil")
+    assert info.value.message == "expected no operands, found 1 for 'nil'"
+
+
 def test_q_trace_length_mismatch(twotoss):
     with pytest.raises(LengthMismatch):
         infer(twotoss, "Q[t(c); t(c)](H(c); T(c); H(c))")
