@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     ProbabilityRangeError,
     ProbabilitySumError,
+    SourceSpan,
     UnknownOutcome,
 )
 from .evaluator import eval_q
@@ -256,7 +257,7 @@ def parse_space(text: str, source: str = "<space>") -> ProbabilitySpace:
             o, m = parts
             if o in mass:
                 raise fail(f"mass for '{o}' given twice")
-            mass[o] = parse_rational(m)
+            mass[o] = parse_rational(m, SourceSpan(source, lineno, 1))
         else:
             raise fail(f"unrecognized line '{line}'")
     if name is None:

@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -74,16 +75,28 @@ def _load_model(path: str) -> Model:
     return validate_model(parse_model(_read(Path(path)), source=path))
 
 
+@contextmanager
+def _named(name: str):
+    """Prefix `name: ` to the message of a PtlError raised inside."""
+    try:
+        yield
+    except PtlError as exc:
+        exc.message = f"{name}: {exc.message}"
+        exc.args = (exc.message,)
+        raise
+
+
 def _load_formulas(ref: str) -> list[tuple[str, Expr]]:
     """A formula argument is inline text, a .ptl file (all definitions, in
-    order), or `file.ptl#name` for one definition."""
+    order), or `file.ptl#name` for one definition. An argument ending in
+    `.ptl` always names a file, so a missing one is reported as missing."""
     if "#" in ref:
         path, _, frag = ref.partition("#")
         defs = parse_formula_file(_read(Path(path)), source=path)
         if frag not in defs:
             raise ParseError(f"{path} has no definition named '{frag}'")
         return [(frag, defs[frag])]
-    if ref.endswith(".ptl") and Path(ref).exists():
+    if ref.endswith(".ptl"):
         defs = parse_formula_file(_read(Path(ref)), source=ref)
         return list(defs.items())
     return [("formula", parse(ref, source="<arg>"))]
@@ -112,12 +125,8 @@ def _resolve_state(model: Model, state: str | None) -> str:
 
 
 def _typecheck(model: Model, name: str, expr: Expr) -> None:
-    try:
+    with _named(name):
         infer_type(expr, model.type_env())
-    except PtlError as exc:
-        exc.message = f"{name}: {exc.message}"
-        exc.args = (exc.message,)
-        raise
 
 
 def _parse_ground_action(text: str, model: Model) -> GroundAction:
@@ -326,7 +335,8 @@ def cmd_independent(args) -> int:
 
 def cmd_translate(args) -> int:
     space = parse_space(_read(Path(args.space)), source=args.space)
-    model = translate_space(space)
+    with _named(args.space):  # the space's own faults name its file
+        model = translate_space(space)
     text = serialize_model(model)
     if args.output:
         Path(args.output).write_text(text)
@@ -338,7 +348,8 @@ def cmd_translate(args) -> int:
 
 def cmd_adequacy(args) -> int:
     space = parse_space(_read(Path(args.space)), source=args.space)
-    report = check_adequacy(space, depth=args.depth, max_events=args.max_events)
+    with _named(args.space):
+        report = check_adequacy(space, depth=args.depth, max_events=args.max_events)
     if args.json:
         _emit_json(report.to_dict())
     else:

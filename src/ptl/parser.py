@@ -1,17 +1,27 @@
-"""Lexer and recursive-descent parser for formulas, formula files (.ptl)
-and model files (.ptlm).
+"""Lexer and parser for formulas, formula files (.ptl) and model files
+(.ptlm).
 
 Operator precedence, loosest binding first:
 
     <->   ->   \\/   /\\   prefix (~, dia, box, @, binders)
-    relations (=, <, >, !=, in)   ::  -   +   *  /   application
+    relations (=, <, >, !=, in)   ::   -   +   * and /   application
 
-Binder bodies extend as far right as possible. Modal prefixes take a
-relation-level body, so `dia[t]{1/2} heads(c) /\\ X` scopes the diamond over
-the application only. ASCII keywords and the usual unicode glyphs are both
-accepted; decimal literals become exact rationals during parsing, and a
-division of two literals is folded into one rational, so 0.5, 1/2 and 2/4
-all parse to the same term.
+The levels and operand slots of the binary operators are one table,
+`syntax.BINARY`, which the printer reads too. Relations do not associate,
+`-`, `+`, `*` and `/` group to the left, and `::` and the connectives to
+the right; a list difference is not a left operand of `::`. Binder bodies
+extend as far right as possible. A prefix operator takes a prefix-level
+operand, so `~ a = b` negates the comparison and `dia[t]{1/2} heads(c) /\\ X`
+scopes the diamond over the application only. `_Parser.expr` reads a
+formula by precedence climbing on an explicit stack: only brackets and
+binder bodies recurse, so neither an operator chain nor a run of prefix
+operators is bounded by the recursion limit, and a level of parentheses
+costs three Python frames.
+
+ASCII keywords and the usual unicode glyphs are both accepted; decimal
+literals become exact rationals during parsing, and a division of two
+literals is folded into one rational, so 0.5, 1/2 and 2/4 all parse to the
+same term.
 
 The lexical rules are shared by every input format. A name is
 `syntax.NAME`; a number is ASCII digits; a comment runs from `--` to end
@@ -33,11 +43,14 @@ from .errors import ParseError, SourceSpan
 from .model import ModelSpec, SymbolDecl, TransitionDecl, ValuationDecl
 from .syntax import (
     AND,
+    APP_PREC,
     AT,
     BASE_TYPES,
+    BINARY,
     BOT,
     BOX,
     CONS,
+    CONS_PREC,
     DIA,
     DIA_P,
     DIFF,
@@ -46,6 +59,7 @@ from .syntax import (
     EXISTS,
     FORALL,
     IFF,
+    IFF_PREC,
     IMP,
     IN_STATE,
     LENGTH,
@@ -56,6 +70,7 @@ from .syntax import (
     NOT,
     OR,
     PLUS,
+    PREFIX_PREC,
     TIMES,
     TOP,
     App,
@@ -99,9 +114,16 @@ _PUNCT = [
     "~", "=", "<", ">", "+", "*", "/", "-", "@",
 ]
 
-# the binary connectives, loosest first; each groups to the right
-_CONNECTIVES = (("<->", IFF), ("->", IMP), ("\\/", OR), ("/\\", AND))
-_PREFIX_LEVEL = len(_CONNECTIVES)
+# each binary operator token: the symbol it builds, then that symbol's
+# level, left slot and right slot in `syntax.BINARY`; `>` and `!=` are
+# sugar for a flipped `<` and a negated `=`
+_INFIX = {token: (symbol, *BINARY[symbol]) for token, symbol in (
+    ("<->", IFF), ("->", IMP), ("\\/", OR), ("/\\", AND),
+    ("=", EQ), ("<", LT), (">", LT), ("!=", EQ), ("in", MEMBER),
+    ("::", CONS), ("-", DIFF), ("+", PLUS), ("*", TIMES), ("/", DIV),
+)}
+
+_CONSTANTS = {"true": TOP, "false": BOT, "nil": NIL}
 
 # `--` starts a comment only before a blank or the end of the line, so the
 # arrows `--a-->` of model files are not comments
@@ -178,191 +200,110 @@ class _Parser:
             return True
         return False
 
-    def lookup(self, name: str) -> Symbol | None:
+    def name(self, t: Token) -> Sym:
+        """A name in scope is its binder's variable; any other is free."""
         for s in reversed(self.scope):
-            if s.name == name:
-                return s
-        return None
+            if s.name == t.text:
+                return Sym(s, span=t.span)
+        return Sym(Symbol(t.text, None, "free"), span=t.span)
 
     # ----- formulas -----
 
-    def expr(self, level: int = 0) -> Expr:
-        """A formula whose operators bind no looser than
-        `_CONNECTIVES[level]`. A chain of one connective is read in a loop
-        and folded from the right, so its length is not bounded by the
-        recursion limit."""
-        if level == _PREFIX_LEVEL:
-            return self.prefix()
-        token, symbol = _CONNECTIVES[level]
-        left = self.expr(level + 1)
-        if not self.at(token):
-            return left
-        operands = [left]
-        while self.eat(token):
-            operands.append(self.expr(level + 1))
-        right = operands.pop()
-        for left in reversed(operands):
-            right = App(App(Sym(symbol), left), right, span=_sp(left))
-        return right
+    def expr(self, level: int = IFF_PREC) -> Expr:
+        """A formula whose binary operators bind no looser than `level`.
 
-    def prefix(self) -> Expr:
-        t = self.tok
-        if t.kind in ("forall", "exists"):
-            return self.binder(self.next().kind)
-        if t.kind == "lam":
-            self.next()
-            return self.lam()
+        Operator precedence on an explicit stack: `pending` holds each
+        operator still waiting for its right operand, with its left operand
+        or, for a prefix operator, the function part it applies. A binary
+        operator is taken while the level and operand slots of
+        `syntax.BINARY` allow it; otherwise pending operators are applied
+        from the top. Only brackets and binder bodies recurse, so neither a
+        chain of operators nor a run of prefix operators is bounded by the
+        recursion limit."""
+        pending: list[tuple[Expr, Token, int, int]] = []  # part, operator, level, right slot
+        while True:
+            floor = pending[-1][3] if pending else level
+            if floor <= PREFIX_PREC and self.tok.kind in ("~", "@", "box", "dia"):
+                t = self.tok
+                pending.append((self.prefix_op(), t, PREFIX_PREC, PREFIX_PREC))
+                continue
+            if floor <= PREFIX_PREC and self.at("forall", "exists", "lam"):
+                left, left_level = self.binder(self.next().kind), IFF_PREC
+            else:
+                left, left_level = self.application(), APP_PREC
+            op = _INFIX.get(self.tok.kind)  # symbol, level, left slot, right slot
+            while not (op and op[1] >= floor and left_level >= op[2]):
+                if not pending:
+                    return left
+                part, t, left_level, _ = pending.pop()
+                left = _combine(part, t, left)
+                floor = pending[-1][3] if pending else level
+            pending.append((left, self.next(), op[1], op[3]))
+
+    def prefix_op(self) -> Expr:
+        """The function part of `~`, `@s`, `box[a]`, `dia[a]` or `dia[a]{p}`."""
+        t = self.next()
         if t.kind == "~":
-            self.next()
-            return App(Sym(NOT), self.prefix(), span=t.span)
+            return Sym(NOT)
         if t.kind == "@":
-            self.next()
-            name = self.expect("ident")
-            bound = self.lookup(name.text)
-            state = Sym(bound if bound else Symbol(name.text, None, "free"), span=name.span)
-            return App(App(Sym(AT), state), self.prefix(), span=t.span)
-        if t.kind in ("dia", "box"):
-            self.next()
-            self.expect("[")
-            args = [self.expr()]
-            self.expect("]")
-            head = BOX if t.kind == "box" else DIA
-            if t.kind == "dia" and self.eat("{"):
-                args.append(self.expr())
-                self.expect("}")
-                head = DIA_P
-            return App(app(Sym(head), *args), self.prefix(), span=t.span)
-        return self.relation()
+            return App(Sym(AT), self.name(self.expect("ident")))
+        self.expect("[")
+        args = [self.expr()]
+        self.expect("]")
+        head = BOX if t.kind == "box" else DIA
+        if t.kind == "dia" and self.eat("{"):
+            args.append(self.expr())
+            self.expect("}")
+            head = DIA_P
+        return app(Sym(head), *args)
 
     def binder(self, kind: str) -> Expr:
+        """The rest of a `forall`, `exists` or `lam` form; its body extends
+        as far right as possible."""
         name = self.expect("ident").text
-        if self.eat("in"):
-            bound = self.cons()
+        if kind != "lam" and self.eat("in"):
+            bound = self.expr(CONS_PREC)
             self.expect(".")
-            self.scope.append(Symbol(name, None, "var"))
-            try:
-                body = self.expr()
-            finally:
-                self.scope.pop()
-            return MemberBinder(kind, name, bound, body)
+            return MemberBinder(kind, name, bound, self.body(Symbol(name, None, "var")))
         self.expect(":")
-        if self.at("ident") and self.tok.text not in BASE_TYPES:
+        if kind != "lam" and self.at("ident") and self.tok.text not in BASE_TYPES:
             pred = self.next().text
             self.expect(".")
-            self.scope.append(Symbol(name, None, "var"))
-            try:
-                body = self.expr()
-            finally:
-                self.scope.pop()
-            return PredBinder(kind, name, pred, body)
+            return PredBinder(kind, name, pred, self.body(Symbol(name, None, "var")))
         ty = self.type_()
         self.expect(".")
         param = Symbol(name, ty, "var")
+        lam = Lam(param, self.body(param))
+        if kind == "lam":
+            return lam
+        return App(Sym(FORALL if kind == "forall" else EXISTS), lam)
+
+    def body(self, param: Symbol) -> Expr:
         self.scope.append(param)
         try:
-            body = self.expr()
+            return self.expr()
         finally:
             self.scope.pop()
-        head = FORALL if kind == "forall" else EXISTS
-        return App(Sym(head), Lam(param, body))
-
-    def lam(self) -> Expr:
-        name = self.expect("ident").text
-        self.expect(":")
-        ty = self.type_()
-        self.expect(".")
-        param = Symbol(name, ty, "var")
-        self.scope.append(param)
-        try:
-            body = self.expr()
-        finally:
-            self.scope.pop()
-        return Lam(param, body)
-
-    def relation(self) -> Expr:
-        left = self.cons()
-        t = self.tok
-        if t.kind == "=":
-            self.next()
-            return App(App(Sym(EQ), left), self.cons(), span=t.span)
-        if t.kind == "<":
-            self.next()
-            return App(App(Sym(LT), left), self.cons(), span=t.span)
-        if t.kind == ">":
-            self.next()
-            right = self.cons()
-            return App(App(Sym(LT), right), left, span=t.span)
-        if t.kind == "!=":
-            self.next()
-            right = self.cons()
-            return App(Sym(NOT), App(App(Sym(EQ), left), right), span=t.span)
-        if t.kind == "in":
-            self.next()
-            return App(App(Sym(MEMBER), left), self.cons(), span=t.span)
-        return left
-
-    def cons(self) -> Expr:
-        left = self.add()
-        if self.at("::"):
-            self.next()
-            return App(App(Sym(CONS), left), self.cons(), span=_sp(left))
-        while self.at("-"):
-            self.next()
-            left = App(App(Sym(DIFF), left), self.add(), span=_sp(left))
-        return left
-
-    def add(self) -> Expr:
-        left = self.mul()
-        while self.at("+"):
-            self.next()
-            left = App(App(Sym(PLUS), left), self.mul(), span=_sp(left))
-        return left
-
-    def mul(self) -> Expr:
-        left = self.application()
-        while self.at("*", "/"):
-            op = self.next()
-            right = self.application()
-            if op.kind == "/":
-                if isinstance(left, RatLit) and isinstance(right, RatLit):
-                    if right.value == 0:
-                        raise ParseError("zero denominator", op.span)
-                    left = RatLit(left.value / right.value, span=op.span)
-                else:
-                    left = App(App(Sym(DIV), left), right, span=op.span)
-            else:
-                left = App(App(Sym(TIMES), left), right, span=op.span)
-        return left
 
     def application(self) -> Expr:
         e = self.primary()
-        while self.at("("):
-            self.next()
+        while self.eat("("):
             args = [self.expr()]
             while self.eat(","):
                 args.append(self.expr())
             self.expect(")")
             for a in args:
-                e = App(e, a, span=_sp(e))
+                e = App(e, a, span=e.span)
         return e
 
     def primary(self) -> Expr:
         t = self.tok
-        if t.kind == "int":
-            self.next()
-            return RatLit(Fraction(int(t.text)), span=t.span)
-        if t.kind == "dec":
+        if t.kind in ("int", "dec"):
             self.next()
             return RatLit(Fraction(t.text), span=t.span)
-        if t.kind == "true":
+        if t.kind in _CONSTANTS:
             self.next()
-            return Sym(TOP, span=t.span)
-        if t.kind == "false":
-            self.next()
-            return Sym(BOT, span=t.span)
-        if t.kind == "nil":
-            self.next()
-            return Sym(NIL, span=t.span)
+            return Sym(_CONSTANTS[t.kind], span=t.span)
         if t.kind == "in":
             # hybrid current-state test in(s)
             self.next()
@@ -373,9 +314,7 @@ class _Parser:
         if t.kind == "Q":
             return self.q_form()
         if t.kind == "ident":
-            self.next()
-            bound = self.lookup(t.text)
-            return Sym(bound if bound else Symbol(t.text, None, "free"), span=t.span)
+            return self.name(self.next())
         if t.kind == "(":
             self.next()
             e = self.expr()
@@ -430,8 +369,24 @@ class _Parser:
         raise ParseError(f"expected a type, found {t.text!r}", t.span)
 
 
-def _sp(e: Expr) -> SourceSpan | None:
-    return getattr(e, "span", None)
+def _combine(part: Expr, op: Token, right: Expr) -> Expr:
+    """A pending operator applied to its right operand: `part` is the left
+    operand of a binary operator or the function part of a prefix one. A
+    relation, `*` or `/` node carries the operator's span, any other binary
+    node its left operand's, and two literals divided fold into one."""
+    kind = op.kind
+    if kind not in _INFIX:
+        return App(part, right, span=op.span)
+    if kind == ">":
+        return App(App(Sym(LT), right), part, span=op.span)
+    if kind == "!=":
+        return App(Sym(NOT), App(App(Sym(EQ), part), right), span=op.span)
+    if kind == "/" and isinstance(part, RatLit) and isinstance(right, RatLit):
+        if right.value == 0:
+            raise ParseError("zero denominator", op.span)
+        return RatLit(part.value / right.value, span=op.span)
+    span = op.span if kind in ("=", "<", "in", "*", "/") else part.span
+    return App(App(Sym(_INFIX[kind][0]), part), right, span=span)
 
 
 def parse_formula(text: str, source: str = "<formula>") -> Expr:

@@ -2,15 +2,26 @@
 
 print_formula(parse(text)) reparses to an alpha-equal term, and rationals
 survive the round trip bit-exactly (1/2 prints as 1/2, never 0.5). Terms
-that the surface grammar cannot express, such as a quantifier applied to
-something other than a lambda, raise ValueError rather than printing
-something that would not reparse.
+that the surface grammar cannot express raise ValueError rather than
+printing something that would not reparse: a quantifier over a non-lambda,
+a negative literal, an untyped binder, a `Q` without a proposition, a
+predicate bound named like a type, or a name the parser would not read as
+one. Operators are written by the parser's table, `syntax.BINARY`.
 """
 
 from __future__ import annotations
 
+from .parser import KEYWORDS
 from .syntax import (
+    APP_PREC,
     ARITY,
+    BASE_TYPES,
+    BINARY,
+    CONS_PREC,
+    IFF_PREC,
+    MUL_PREC,
+    NAME,
+    PREFIX_PREC,
     App,
     Expr,
     Lam,
@@ -25,28 +36,9 @@ from .syntax import (
 )
 from .values import render_rational
 
-# precedence levels, loosest first; binders live at IFF (they extend right)
-IFF, IMP, OR, AND, PREFIX, REL, CONS, ADD, MUL, APP = range(10)
-
-_BINARY = {
-    "<->": (IFF, IFF + 1, IFF),  # level, left slot, right slot (right-assoc)
-    "->": (IMP, IMP + 1, IMP),
-    "\\/": (OR, OR + 1, OR),
-    "/\\": (AND, AND + 1, AND),
-    "=": (REL, CONS, CONS),
-    "<": (REL, CONS, CONS),
-    "::": (CONS, ADD, CONS),
-    # the parser only reaches a list difference with add-level operands, so
-    # a cons or another difference on the left must be parenthesized
-    "-": (CONS, ADD, ADD),
-    "+": (ADD, ADD, MUL),
-    "*": (MUL, MUL, APP),
-    "/": (MUL, MUL, APP),
-}
-
 
 def print_formula(e: Expr) -> str:
-    return _print(e, IFF)
+    return _print(e, IFF_PREC)
 
 
 def _print(e: Expr, level: int) -> str:
@@ -59,28 +51,47 @@ def _print(e: Expr, level: int) -> str:
 def _render(e: Expr) -> tuple[str, int]:
     match e:
         case RatLit(v):  # `p/q` reads as a division, so it binds like one
-            return render_rational(v), APP if v.denominator == 1 else MUL
+            if v < 0:
+                raise ValueError(f"negative literal {v} is not printable")
+            return render_rational(v), APP_PREC if v.denominator == 1 else MUL_PREC
         case Sym(s):
-            if s.kind == "list" and s.name == "nil":
-                return "nil", APP
-            if s.kind == "logical" and s.name in ("true", "false"):
-                return s.name, APP
             if s.kind in ("var", "free"):
-                return s.name, APP
+                return _name(s.name), APP_PREC
+            if ARITY.get((s.name, s.kind)) == 0:  # true, false, nil
+                return s.name, APP_PREC
             raise ValueError(f"builtin '{s.name}' is not printable unapplied")
         case Lam(param, body):
-            return f"lam {param.name} : {param.type} . {_print(body, IFF)}", IFF
+            return f"lam {_binder(param)} . {_print(body, IFF_PREC)}", IFF_PREC
         case Q(actions, props):
-            inner_a = "; ".join(_print(a, IFF) for a in actions)
-            inner_p = "; ".join(_print(p, IFF) for p in props)
-            return f"Q[{inner_a}]({inner_p})", APP
+            if not props:
+                raise ValueError("Q without a proposition is not printable")
+            inner_a = "; ".join(_print(a, IFF_PREC) for a in actions)
+            inner_p = "; ".join(_print(p, IFF_PREC) for p in props)
+            return f"Q[{inner_a}]({inner_p})", APP_PREC
         case PredBinder(q, x, pred, body):
-            return f"{q} {x} : {pred} . {_print(body, IFF)}", IFF
+            if pred in BASE_TYPES:  # would read back as a typed binder
+                raise ValueError(f"predicate bound '{pred}' is a type name")
+            return f"{q} {_name(x)} : {_name(pred)} . {_print(body, IFF_PREC)}", IFF_PREC
         case MemberBinder(q, x, bound, body):
-            return f"{q} {x} in {_print(bound, CONS)} . {_print(body, IFF)}", IFF
+            bound_text = _print(bound, CONS_PREC)
+            return f"{q} {_name(x)} in {bound_text} . {_print(body, IFF_PREC)}", IFF_PREC
         case App():
             return _render_app(e)
     raise ValueError(f"unprintable term {e!r}")
+
+
+def _name(name: str) -> str:
+    """A variable, free or bound name, if the parser reads it back as one."""
+    if name in KEYWORDS or not NAME.fullmatch(name):
+        raise ValueError(f"name {name!r} is not printable")
+    return name
+
+
+def _binder(param: Symbol) -> str:
+    """`x : type` for a typed binder; an untyped one has no surface form."""
+    if param.type is None:
+        raise ValueError(f"binder '{param.name}' has no type")
+    return f"{_name(param.name)} : {param.type}"
 
 
 def _render_app(e: App) -> tuple[str, int]:
@@ -90,49 +101,38 @@ def _render_app(e: App) -> tuple[str, int]:
         head, args = app(head, *args[:n]), args[n:]
     if isinstance(head, Sym):
         s = head.symbol
-        if s.kind in ("quant",) and len(args) == 1:
-            return _render_quant(s, args[0])
+        if s.kind == "quant" and len(args) == 1:
+            if not isinstance(args[0], Lam):
+                raise ValueError(f"{s.name} applied to a non-lambda is not printable")
+            lam = args[0]
+            return f"{s.name} {_binder(lam.param)} . {_print(lam.body, IFF_PREC)}", IFF_PREC
         if s.kind == "hybrid" and s.name == "@" and len(args) == 2:
             state = args[0]
             if not (isinstance(state, Sym) and state.symbol.kind in ("var", "free")):
                 raise ValueError("@ takes a state name in surface syntax")
-            return f"@{state.symbol.name} {_print(args[1], PREFIX)}", PREFIX
+            return f"@{_name(state.symbol.name)} {_print(args[1], PREFIX_PREC)}", PREFIX_PREC
         if s.kind == "modal" and len(args) == n:
             action, *prob, body = args  # dia{p} has a probability
             keyword = "box" if s.name == "box" else "dia"
-            ann = "".join(f"{{{_print(p, IFF)}}}" for p in prob)
-            return f"{keyword}[{_print(action, IFF)}]{ann} {_print(body, PREFIX)}", PREFIX
+            ann = "".join(f"{{{_print(p, IFF_PREC)}}}" for p in prob)
+            body_text = _print(body, PREFIX_PREC)
+            return f"{keyword}[{_print(action, IFF_PREC)}]{ann} {body_text}", PREFIX_PREC
         if s.kind == "hybrid" and s.name == "in" and len(args) == 1:
-            return f"in({_print(args[0], IFF)})", APP
+            return f"in({_print(args[0], IFF_PREC)})", APP_PREC
         if s.kind == "logical" and s.name == "~" and len(args) == 1:
-            return f"~ {_print(args[0], PREFIX)}", PREFIX
+            return f"~ {_print(args[0], PREFIX_PREC)}", PREFIX_PREC
         if s.kind == "list" and s.name == "|.|" and len(args) == 1:
-            return f"|{_print(args[0], IFF)}|", APP
-        if s.kind == "list" and s.name == "in" and len(args) == 2:
-            left = _print(args[0], CONS)
-            right = _print(args[1], CONS)
-            return f"{left} in {right}", REL
-        if s.name in _BINARY and s.kind in ("logical", "rel", "arith", "list"):
+            return f"|{_print(args[0], IFF_PREC)}|", APP_PREC
+        slots = BINARY.get(s)
+        if slots is not None:
             if len(args) == 2:
-                level, lslot, rslot = _BINARY[s.name]
-                return (
-                    f"{_print(args[0], lslot)} {s.name} {_print(args[1], rslot)}",
-                    level,
-                )
+                level, left, right = slots
+                return f"{_print(args[0], left)} {s.name} {_print(args[1], right)}", level
             raise ValueError(f"builtin '{s.name}' printed with {len(args)} arguments")
     # plain application: f(a, b, ...) call syntax
     if isinstance(head, Sym) and head.symbol.kind in ("var", "free"):
-        fn_text = head.symbol.name
+        fn_text = _name(head.symbol.name)
     else:
-        fn_text = f"({_print(head, IFF)})"
-    rendered = ", ".join(_print(a, IFF) for a in args)
-    return f"{fn_text}({rendered})", APP
-
-
-def _render_quant(s: Symbol, arg: Expr) -> tuple[str, int]:
-    if not isinstance(arg, Lam):
-        raise ValueError(f"{s.name} applied to a non-lambda is not printable")
-    return (
-        f"{s.name} {arg.param.name} : {arg.param.type} . {_print(arg.body, IFF)}",
-        IFF,
-    )
+        fn_text = f"({_print(head, IFF_PREC)})"
+    rendered = ", ".join(_print(a, IFF_PREC) for a in args)
+    return f"{fn_text}({rendered})", APP_PREC

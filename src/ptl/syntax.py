@@ -170,6 +170,29 @@ ARITY = {(s.name, s.kind): n for n, symbols in (
     (3, (DIA_P,)),
 ) for s in symbols}
 
+# precedence levels, loosest first: binders and `lam` (bodies extend right)
+# at IFF_PREC, `~`, `@`, `box` and `dia` at PREFIX_PREC, calls at APP_PREC
+(IFF_PREC, IMP_PREC, OR_PREC, AND_PREC, PREFIX_PREC, REL_PREC, CONS_PREC,
+ DIFF_PREC, ADD_PREC, MUL_PREC, APP_PREC) = range(11)
+
+# each binary operator, as read by the parser and written by the printer:
+# (level, lowest level of an unparenthesized left operand, of a right one);
+# a slot equal to the level groups on that side, relations on neither
+BINARY = {
+    IFF: (IFF_PREC, IMP_PREC, IFF_PREC),
+    IMP: (IMP_PREC, OR_PREC, IMP_PREC),
+    OR: (OR_PREC, AND_PREC, OR_PREC),
+    AND: (AND_PREC, PREFIX_PREC, AND_PREC),
+    EQ: (REL_PREC, CONS_PREC, CONS_PREC),
+    LT: (REL_PREC, CONS_PREC, CONS_PREC),
+    MEMBER: (REL_PREC, CONS_PREC, CONS_PREC),
+    CONS: (CONS_PREC, ADD_PREC, CONS_PREC),
+    DIFF: (DIFF_PREC, DIFF_PREC, ADD_PREC),
+    PLUS: (ADD_PREC, ADD_PREC, MUL_PREC),
+    TIMES: (MUL_PREC, MUL_PREC, APP_PREC),
+    DIV: (MUL_PREC, MUL_PREC, APP_PREC),
+}
+
 
 # ---------- terms ----------
 

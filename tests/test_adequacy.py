@@ -149,6 +149,11 @@ def test_outcome_names_follow_the_name_rule():
     assert parse_set_expr(render_set_expr(e)) == e
 
 
+def test_a_malformed_mass_names_its_file_and_line():
+    with pytest.raises(ParseError, match="^s.pspace:3:1: malformed rational 'x'$"):
+        parse_space("space s\noutcomes: a\nmass: a x\n", source="s.pspace")
+
+
 def test_space_files_round_trip():
     for name in ("die.pspace", "biased2.pspace"):
         space = parse_space(corpus_text(name), source=name)

@@ -134,6 +134,28 @@ def test_eval_parse_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", corpus_path("coin.ptlm"), "missing.ptl"],
+        ["check", corpus_path("coin.ptlm"), "missing.ptl#x"],
+        ["entail", corpus_path("coin.ptlm"), "--theory", corpus_path("coin.ptl"),
+         "--conclusion", "missing.ptl"],
+    ],
+    ids=["file", "fragment", "conclusion"],
+)
+def test_a_missing_formula_file_is_reported_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'missing.ptl'\n"
+
+
+def test_nesting_past_the_parsers_limit_is_one_line_exit_2(capsys):
+    formula = "(" * 1000 + "heads(c)" + ")" * 1000
+    code, out, err = run(capsys, "check", corpus_path("coin.ptlm"), formula)
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+@pytest.mark.parametrize(
     "formula, message",
     [
         ("toss(c)(s0) = nil", "expected function, found action"),
@@ -379,6 +401,30 @@ def test_adequacy_rejects_bad_space(capsys, tmp_path):
     code, _, err = run(capsys, "adequacy", str(path))
     assert code == 2
     assert "31/30" in err
+
+
+@pytest.mark.parametrize("command", ["adequacy", "translate"])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("outcomes: a b\nmass: a 1/2\nmass: c 1/2\n",
+         "mass assigned to undeclared outcome 'c'"),
+        ("outcomes: a a\nmass: a 1\n", "outcome 'a' declared twice"),
+        ("outcomes: a b\nmass: a 1\n", "outcome 'b' has no mass assigned"),
+        ("outcomes: a b\nmass: a 3/2\nmass: b 1/2\n",
+         "mass 3/2 of outcome a in space d is outside [0, 1]"),
+        ("outcomes: a b\nmass: a 1/2\nmass: b 1/3\n",
+         "outcome masses of space d sum to 5/6, expected 1"),
+        ("outcomes: init b\nmass: init 1/2\nmass: b 1/2\n",
+         "outcome 'init' collides with a generated name of the translation"),
+    ],
+    ids=["undeclared", "duplicate", "missing-mass", "range", "sum", "reserved-name"],
+)
+def test_space_validation_errors_name_the_file(capsys, tmp_path, command, body, message):
+    path = tmp_path / "bad.pspace"
+    path.write_text("space d\n" + body)
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 # ---------- corpus ----------

@@ -5,6 +5,7 @@ yields a term alpha-equal to the first parse, with every rational literal
 preserved exactly.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import CORPUS, corpus_text
 
 from ptl import parse, parse_formula, parse_formula_file, parse_model, validate_model
 from ptl.errors import ParseError
+from ptl.evaluator import describe
 from ptl.model import serialize_model
 from ptl.parser import parse_rational, parse_type, tokenize
 from ptl.printer import print_formula
@@ -53,6 +55,7 @@ from ptl.syntax import (
     Arrow,
     Lam,
     ListT,
+    PredBinder,
     Q,
     RatLit,
     Sym,
@@ -164,6 +167,23 @@ def test_a_5000_operand_chain_parses_to_a_right_nested_spine(op):
     assert e.symbol.name == f"p{n - 1}"
 
 
+@pytest.mark.parametrize(
+    "opening, core, closing, depth",
+    [
+        ("(", "p", ")", 150),
+        ("~ (", "p", ")", 150),
+        ("Q[a](", "p", ")", 150),
+        ("f(", "p", ")", 150),
+        ("~ ", "p", "", 5000),
+        ("p :: ", "nil", "", 5000),
+    ],
+    ids=["parens", "not-parens", "q", "call", "not-chain", "cons-chain"],
+)
+def test_nesting_depths_at_the_default_recursion_limit(opening, core, closing, depth):
+    assert sys.getrecursionlimit() == 1000
+    parse_formula(opening * depth + core + closing * depth)
+
+
 def test_each_connective_node_carries_its_left_operands_span():
     e = parse_formula("p /\\ q /\\ r")
     _, (p, rest) = spine(e)
@@ -176,6 +196,37 @@ def test_a_fraction_right_of_times_or_divide_keeps_its_parentheses():
     for text in ("Q[t](H) * (1/2)", "Q[t](H) / (1/2)"):
         assert print_formula(parse(text)) == text
         assert round_trips(text)
+
+
+def test_a_list_difference_groups_left_and_is_no_left_operand_of_cons():
+    assert print_formula(parse("(D - dc) - dp")) == "D - dc - dp"
+    assert round_trips("(D - dc) - dp")
+    for text in ("D - (dc - dp)", "(D - dc) :: L", "x :: D - dc"):
+        assert print_formula(parse(text)) == text
+    with pytest.raises(ParseError, match="trailing input '::'"):
+        parse("D - dc :: L")
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        app(Sym(LT), RatLit(Fraction(-1, 2)), RatLit(Fraction(1))),
+        Lam(Symbol("x", None, "var"), Sym(Symbol("p"))),
+        App(Sym(FORALL), Lam(Symbol("x", None, "var"), Sym(Symbol("p")))),
+        app(Sym(AND), Sym(Symbol("box")), Sym(Symbol("p"))),
+        App(Sym(Symbol("f x")), Sym(Symbol("p"))),
+        Q((), ()),
+        PredBinder("forall", "x", "bool", Sym(Symbol("p"))),
+    ],
+    ids=[
+        "negative-literal", "untyped-lam", "untyped-forall", "keyword-name", "bad-name",
+        "q-without-proposition", "predicate-named-like-a-type",
+    ],
+)
+def test_terms_the_parser_cannot_read_back_are_not_printed(term):
+    with pytest.raises(ValueError):
+        print_formula(term)
+    assert describe(term) == repr(term)
 
 
 def test_q_brackets_take_action_sequence():
