@@ -25,6 +25,7 @@ from fractions import Fraction
 from .errors import LengthMismatch, PtlError
 from .evaluator import (
     _ground_action,
+    _q,
     apply_value,
     compile_expr,
     describe,
@@ -202,7 +203,7 @@ def _drill(model: Model, state: str, expr: Expr, env: dict) -> list[dict]:
         case App(App(Sym(Symbol("->", _, "logical")), left), right):
             if truth(model, state, left, env):
                 return _drill(model, state, right, env)
-    return [{"step": "fails", "state": state, "formula": describe(expr)}]
+    return [{"step": "fails", "state": state, "formula": describe(expr, frozenset(env))}]
 
 
 # ---------- entailment over a model family ----------
@@ -263,12 +264,20 @@ def check_independent(
     family is every ground atom of the model."""
     if props is None:
         props = model.ground_atoms()
+    codes = [compile_expr(model, prop)[0] for prop in props]
+    values: list[dict[str, Fraction]] = [{} for _ in props]  # per prop, state -> Q[a](prop)
+
+    def q(j: int, state: str) -> Fraction:
+        if state not in values[j]:
+            values[j][state] = _q(model, state, [a], (codes[j],), None)
+        return values[j][state]
+
     try:
         for state in model.states:
-            for prop in props:
-                before = eval_q(model, state, [a], prop)
+            for j, prop in enumerate(props):
+                before = q(j, state)
                 for succ, _ in successors(model, state, b):
-                    after = eval_q(model, succ, [a], prop)
+                    after = q(j, succ)
                     if after != before:
                         return CheckReport(
                             VIOLATED,

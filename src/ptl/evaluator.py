@@ -317,7 +317,12 @@ def _q(
     propositions are tested where `syntax.Q` lines them up, so prop j is
     tested after `first + j` actions; a failing test drops the cell before
     its successors are looked up. `trace` demands one proposition per
-    action."""
+    action.
+
+    The sums are fraction-free (Bareiss): an edge weighs the integer rho·L
+    of the frame's `scale` and a cell at step i holds its mass times
+    L**(k - i), divided once at the end. If L exceeds 64 bits, an edge
+    weighs rho, L = 1 and the cells hold the masses themselves."""
     if len(props) != len(actions) and (trace or len(props) != 1):
         raise LengthMismatch(
             f"{len(actions)} actions but {len(props)} propositions"
@@ -326,6 +331,7 @@ def _q(
     k = len(actions)
     first = k + 1 - len(props)
     successors = model.frame.successors
+    lcm, mult = model.frame.scale
 
     def open_cell(w: str, i: int) -> int | Sequence[tuple[str, Fraction]]:
         """The 0/1 value of a cell that needs no successors, else its
@@ -361,13 +367,14 @@ def _q(
                     stack.append([v, n, p, 0, 0])
                     break
                 memo[v, n] = p
-            if p:  # dropped paths cost no rational arithmetic
-                total += rho * p
+            if p:  # dropped paths cost no arithmetic
+                weight = rho if mult is None else rho.numerator * mult[rho.denominator]
+                total += weight * p
             j += 1
         else:
             stack.pop()
             memo[w, i] = total
-    return Fraction(memo[state, 0])
+    return Fraction(memo[state, 0], lcm**k)
 
 
 def _ground_action(model: Model, state: str, expr: Expr, env: Env) -> GroundAction:
@@ -472,10 +479,10 @@ _BUILTINS: dict[tuple[str, str], Callable[..., Value]] = {
 }
 
 
-def describe(expr: Expr) -> str:
+def describe(expr: Expr, bound: frozenset[str] = frozenset()) -> str:
     """Short rendering for diagnostics; falls back to repr for terms the
-    surface grammar cannot express."""
+    surface grammar cannot express. bound is as for `print_formula`."""
     try:
-        return print_formula(expr)
+        return print_formula(expr, bound)
     except ValueError:
         return repr(expr)

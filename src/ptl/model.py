@@ -15,6 +15,7 @@ function of the spec; validating the same spec twice yields equal models.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,17 +97,25 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Frame:
-    """States plus the probabilistic transition structure. `state_index`
-    is the state set, for O(1) membership tests."""
+    """States plus the probabilistic transition structure, not to be
+    mutated. `state_index` is the state set, for O(1) membership tests.
+    `scale` is (L, mult): L is the lcm of the transition denominators and
+    mult[d] = L // d, so an edge weighs the integer rho·L. Past 64 bits it
+    is (1, None)."""
 
     states: tuple[str, ...]
     transitions: dict[tuple[str, GroundAction], tuple[tuple[str, Fraction], ...]] = field(
         default_factory=dict
     )
     state_index: frozenset[str] = field(init=False, compare=False, repr=False)
+    scale: tuple[int, dict[int, int] | None] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "state_index", frozenset(self.states))
+        denominators = {rho.denominator for succ in self.transitions.values() for _, rho in succ}
+        lcm = math.lcm(*denominators)
+        scale = (lcm, {d: lcm // d for d in denominators}) if lcm.bit_length() <= 64 else (1, None)
+        object.__setattr__(self, "scale", scale)
 
     def require(self, state: str) -> None:
         """Raise UnknownState unless the state is declared."""

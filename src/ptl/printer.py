@@ -5,8 +5,9 @@ survive the round trip bit-exactly (1/2 prints as 1/2, never 0.5). Terms
 that the surface grammar cannot express raise ValueError rather than
 printing something that would not reparse: a quantifier over a non-lambda,
 a negative literal, an untyped binder, a `Q` without a proposition, a
-predicate bound named like a type, or a name the parser would not read as
-one. Operators are written by the parser's table, `syntax.BINARY`.
+predicate bound named like a type, a name the parser would not read as
+one, a variable outside its binder or a free name a binder would capture.
+Operators are written by the parser's table, `syntax.BINARY`.
 """
 
 from __future__ import annotations
@@ -37,18 +38,20 @@ from .syntax import (
 from .values import render_rational
 
 
-def print_formula(e: Expr) -> str:
-    return _print(e, IFF_PREC)
+def print_formula(e: Expr, bound: frozenset[str] = frozenset()) -> str:
+    """e as text; bound names the variables bound outside e, such as the
+    instantiations of a witness trail."""
+    return _print(e, IFF_PREC, bound)
 
 
-def _print(e: Expr, level: int) -> str:
-    text, my_level = _render(e)
+def _print(e: Expr, level: int, bound: frozenset[str]) -> str:
+    text, my_level = _render(e, bound)
     if my_level < level:
         return f"({text})"
     return text
 
 
-def _render(e: Expr) -> tuple[str, int]:
+def _render(e: Expr, bound: frozenset[str]) -> tuple[str, int]:
     match e:
         case RatLit(v):  # `p/q` reads as a division, so it binds like one
             if v < 0:
@@ -56,27 +59,29 @@ def _render(e: Expr) -> tuple[str, int]:
             return render_rational(v), APP_PREC if v.denominator == 1 else MUL_PREC
         case Sym(s):
             if s.kind in ("var", "free"):
-                return _name(s.name), APP_PREC
+                return _occurrence(s, bound), APP_PREC
             if ARITY.get((s.name, s.kind)) == 0:  # true, false, nil
                 return s.name, APP_PREC
             raise ValueError(f"builtin '{s.name}' is not printable unapplied")
         case Lam(param, body):
-            return f"lam {_binder(param)} . {_print(body, IFF_PREC)}", IFF_PREC
+            inner = bound | {param.name}
+            return f"lam {_binder(param)} . {_print(body, IFF_PREC, inner)}", IFF_PREC
         case Q(actions, props):
             if not props:
                 raise ValueError("Q without a proposition is not printable")
-            inner_a = "; ".join(_print(a, IFF_PREC) for a in actions)
-            inner_p = "; ".join(_print(p, IFF_PREC) for p in props)
+            inner_a = "; ".join(_print(a, IFF_PREC, bound) for a in actions)
+            inner_p = "; ".join(_print(p, IFF_PREC, bound) for p in props)
             return f"Q[{inner_a}]({inner_p})", APP_PREC
         case PredBinder(q, x, pred, body):
             if pred in BASE_TYPES:  # would read back as a typed binder
                 raise ValueError(f"predicate bound '{pred}' is a type name")
-            return f"{q} {_name(x)} : {_name(pred)} . {_print(body, IFF_PREC)}", IFF_PREC
-        case MemberBinder(q, x, bound, body):
-            bound_text = _print(bound, CONS_PREC)
-            return f"{q} {_name(x)} in {bound_text} . {_print(body, IFF_PREC)}", IFF_PREC
+            return f"{q} {_name(x)} : {_name(pred)} . {_print(body, IFF_PREC, bound | {x})}", IFF_PREC
+        case MemberBinder(q, x, members, body):
+            members_text = _print(members, CONS_PREC, bound)
+            body_text = _print(body, IFF_PREC, bound | {x})
+            return f"{q} {_name(x)} in {members_text} . {body_text}", IFF_PREC
         case App():
-            return _render_app(e)
+            return _render_app(e, bound)
     raise ValueError(f"unprintable term {e!r}")
 
 
@@ -87,6 +92,13 @@ def _name(name: str) -> str:
     return name
 
 
+def _occurrence(s: Symbol, bound: frozenset[str]) -> str:
+    """A variable's name under a binder of that name, a free one under none."""
+    if (s.kind == "var") != (s.name in bound):
+        raise ValueError(f"'{s.name}' would not read back as a {s.kind} name")
+    return _name(s.name)
+
+
 def _binder(param: Symbol) -> str:
     """`x : type` for a typed binder; an untyped one has no surface form."""
     if param.type is None:
@@ -94,7 +106,7 @@ def _binder(param: Symbol) -> str:
     return f"{_name(param.name)} : {param.type}"
 
 
-def _render_app(e: App) -> tuple[str, int]:
+def _render_app(e: App, bound: frozenset[str]) -> tuple[str, int]:
     head, args = spine(e)
     n = ARITY.get((head.symbol.name, head.symbol.kind)) if isinstance(head, Sym) else None
     if n is not None and len(args) > n:  # a builtin applied further prints as a call
@@ -105,34 +117,37 @@ def _render_app(e: App) -> tuple[str, int]:
             if not isinstance(args[0], Lam):
                 raise ValueError(f"{s.name} applied to a non-lambda is not printable")
             lam = args[0]
-            return f"{s.name} {_binder(lam.param)} . {_print(lam.body, IFF_PREC)}", IFF_PREC
+            body_text = _print(lam.body, IFF_PREC, bound | {lam.param.name})
+            return f"{s.name} {_binder(lam.param)} . {body_text}", IFF_PREC
         if s.kind == "hybrid" and s.name == "@" and len(args) == 2:
             state = args[0]
             if not (isinstance(state, Sym) and state.symbol.kind in ("var", "free")):
                 raise ValueError("@ takes a state name in surface syntax")
-            return f"@{_name(state.symbol.name)} {_print(args[1], PREFIX_PREC)}", PREFIX_PREC
+            body_text = _print(args[1], PREFIX_PREC, bound)
+            return f"@{_occurrence(state.symbol, bound)} {body_text}", PREFIX_PREC
         if s.kind == "modal" and len(args) == n:
             action, *prob, body = args  # dia{p} has a probability
             keyword = "box" if s.name == "box" else "dia"
-            ann = "".join(f"{{{_print(p, IFF_PREC)}}}" for p in prob)
-            body_text = _print(body, PREFIX_PREC)
-            return f"{keyword}[{_print(action, IFF_PREC)}]{ann} {body_text}", PREFIX_PREC
+            ann = "".join(f"{{{_print(p, IFF_PREC, bound)}}}" for p in prob)
+            body_text = _print(body, PREFIX_PREC, bound)
+            return f"{keyword}[{_print(action, IFF_PREC, bound)}]{ann} {body_text}", PREFIX_PREC
         if s.kind == "hybrid" and s.name == "in" and len(args) == 1:
-            return f"in({_print(args[0], IFF_PREC)})", APP_PREC
+            return f"in({_print(args[0], IFF_PREC, bound)})", APP_PREC
         if s.kind == "logical" and s.name == "~" and len(args) == 1:
-            return f"~ {_print(args[0], PREFIX_PREC)}", PREFIX_PREC
+            return f"~ {_print(args[0], PREFIX_PREC, bound)}", PREFIX_PREC
         if s.kind == "list" and s.name == "|.|" and len(args) == 1:
-            return f"|{_print(args[0], IFF_PREC)}|", APP_PREC
+            return f"|{_print(args[0], IFF_PREC, bound)}|", APP_PREC
         slots = BINARY.get(s)
         if slots is not None:
             if len(args) == 2:
                 level, left, right = slots
-                return f"{_print(args[0], left)} {s.name} {_print(args[1], right)}", level
+                lhs, rhs = _print(args[0], left, bound), _print(args[1], right, bound)
+                return f"{lhs} {s.name} {rhs}", level
             raise ValueError(f"builtin '{s.name}' printed with {len(args)} arguments")
     # plain application: f(a, b, ...) call syntax
     if isinstance(head, Sym) and head.symbol.kind in ("var", "free"):
-        fn_text = _name(head.symbol.name)
+        fn_text = _occurrence(head.symbol, bound)
     else:
-        fn_text = f"({_print(head, IFF_PREC)})"
-    rendered = ", ".join(_print(a, IFF_PREC) for a in args)
+        fn_text = f"({_print(head, IFF_PREC, bound)})"
+    rendered = ", ".join(_print(a, IFF_PREC, bound) for a in args)
     return f"{fn_text}({rendered})", APP_PREC

@@ -405,10 +405,10 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 
 def _alpha(a: Expr, b: Expr, la: dict[str, int], lb: dict[str, int], depth: int) -> bool:
     match a, b:
-        case Sym(sa), Sym(sb):
-            if sa.name in la or sb.name in lb:
-                return la.get(sa.name) == lb.get(sb.name)
-            return sa == sb
+        case Sym(sa), Sym(sb):  # a bound occurrence matches only a bound one
+            ia = la.get(sa.name) if sa.kind == "var" else None
+            ib = lb.get(sb.name) if sb.kind == "var" else None
+            return ia == ib if ia is not None or ib is not None else sa == sb
         case RatLit(va), RatLit(vb):
             return va == vb
         case App(fa, aa), App(fb, ab):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ptl import parse
+from ptl import parse, parse_model, validate_model
 from ptl.checker import (
     ERROR,
     SATISFIED,
@@ -68,6 +68,15 @@ def test_witness_drills_through_quantifiers_and_conjunction(montyhall):
     assert report.witness["state"] == "c1_p1_o3"
     steps = [step.get("step") for step in report.witness["trail"]]
     assert "instantiate" in steps
+
+
+def test_witness_prints_the_failing_body_with_its_instantiated_variable(coin):
+    # the trail binds x, so the body prints as text, not as a repr
+    report = satisfies(coin, "s0", parse("forall x : obj . heads(x)"))
+    assert report.witness["trail"] == [
+        {"step": "instantiate", "var": "x", "value": "c"},
+        {"step": "fails", "state": "s0", "formula": "heads(x)"},
+    ]
 
 
 def test_error_verdict_on_disabled_q(coin):
@@ -210,6 +219,70 @@ def test_independence_defaults_to_all_ground_atoms(twotoss):
     t = GroundAction("t", ("c",))
     report = check_independent(twotoss, t, t)
     assert report.verdict == SATISFIED
+
+
+LATE = """model late
+states s0 s1 s2 s3 s4
+actions
+  a : action
+  b : action
+types
+  p : prop
+  q : prop
+transitions
+  s0 --a--> s3 @ 1/2
+  s0 --a--> s4 @ 1/2
+  s1 --a--> s4 @ 1/2
+  s1 --a--> s3 @ 1/2
+  s2 --a--> s3 @ 1/3
+  s2 --a--> s4 @ 2/3
+  s3 --a--> s3 @ 1
+  s4 --a--> s4 @ 1
+  s0 --b--> s1 @ 1
+  s1 --b--> s0 @ 1/2
+  s1 --b--> s2 @ 1/2
+  s2 --b--> s2 @ 1
+valuation
+  s3 : p
+  * : q
+"""
+
+
+def test_independence_reports_a_late_violation_from_reused_values():
+    # s0 and s1 agree; s1's value is first met as s0's b-successor and
+    # read again as s1's own, before s2 breaks it for the second prop
+    model = validate_model(parse_model(LATE))
+    a, b = GroundAction("a"), GroundAction("b")
+    report = check_independent(model, a, b, [parse("q"), parse("p")])
+    assert report.verdict == VIOLATED
+    assert report.witness == {
+        "state": "s2",
+        "trail": [
+            {"step": "box", "action": "b", "state": "s2"},
+            {"step": "fails", "state": "s2", "formula": "Q[a](p) = 1/2"},
+        ],
+        "from_state": "s1",
+        "prop": "p",
+    }
+    assert report.numeric == Fraction(1, 3)
+    assert report.details == {"expected": "1/2", "actual": "1/3"}
+
+
+def test_independence_computes_each_q_value_once(successor_calls):
+    model = validate_model(parse_model(LATE))
+    report = check_independent(model, GroundAction("a"), GroundAction("b"), [parse("q")])
+    assert report.verdict == SATISFIED
+    # per state, one lookup of its b-successors and one for its Q[a](q)
+    assert sorted(successor_calls) == sorted(model.states * 2)
+
+
+def test_independence_over_a_disabled_action_fails_where_first_met():
+    text = LATE.replace("  s2 --a--> s3 @ 1/3\n  s2 --a--> s4 @ 2/3\n", "")
+    model = validate_model(parse_model(text))
+    report = check_independent(model, GroundAction("a"), GroundAction("b"),
+                               [parse("q"), parse("p")])
+    assert report.verdict == ERROR
+    assert report.message == "action a has no transitions at state s2"
 
 
 # ---------- the product shortcut ----------

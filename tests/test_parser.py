@@ -217,10 +217,17 @@ def test_a_list_difference_groups_left_and_is_no_left_operand_of_cons():
         App(Sym(Symbol("f x")), Sym(Symbol("p"))),
         Q((), ()),
         PredBinder("forall", "x", "bool", Sym(Symbol("p"))),
+        app(Sym(AND), Sym(Symbol("y", OBJ, "var")), Sym(Symbol("p"))),
+        app(Sym(AT), Sym(Symbol("w", STATE, "var")), Sym(Symbol("p"))),
+        Lam(Symbol("x", OBJ, "var"), Sym(Symbol("x"))),
+        App(Sym(FORALL), Lam(Symbol("x", OBJ, "var"), App(Sym(Symbol("P")), Sym(Symbol("x"))))),
+        PredBinder("exists", "x", "P", App(Sym(Symbol("Q")), Sym(Symbol("x")))),
     ],
     ids=[
         "negative-literal", "untyped-lam", "untyped-forall", "keyword-name", "bad-name",
-        "q-without-proposition", "predicate-named-like-a-type",
+        "q-without-proposition", "predicate-named-like-a-type", "variable-outside-its-binder",
+        "at-variable-outside-its-binder", "lam-captures-a-free-name",
+        "forall-captures-a-free-name", "sugar-captures-a-free-name",
     ],
 )
 def test_terms_the_parser_cannot_read_back_are_not_printed(term):

@@ -8,6 +8,9 @@ lookups, which the (state, step) memo bounds by states times steps, and
 its depth by horizons far past the recursion limit.
 """
 
+import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -329,3 +332,153 @@ def test_q_terms_round_trip_through_the_printer(word, data):
     text = print_formula(e)
     assert alpha_eq(parse(text), e)
     assert print_formula(parse(text)) == text
+
+
+# ---------- fraction-free sums: integer weights over one denominator ----------
+
+
+SMALL = (2, 3, 4, 5, 6, 12)
+# four primes near 2**30: any three of them multiply past 64 bits
+LARGE = (1000000007, 1000000009, 1000000021, 1000000033)
+
+
+def frame_text(transitions, marked):
+    """A .ptlm text over actions a and b and atoms p and q, from
+    {(state, action): [(target, rho)]} and {state: atoms}."""
+    states = list(marked)
+    lines = ["model w", "states " + " ".join(states), "actions", "  a : action",
+             "  b : action", "types", "  p : prop", "  q : prop", "transitions"]
+    lines += [f"  {s} --{a}--> {t} @ {rho}"
+              for (s, a), succ in transitions.items() for t, rho in succ]
+    lines += ["valuation"] + [f"  {s} : {', '.join(sorted(v))}"
+                              for s, v in marked.items() if v]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def weighted_frames(draw):
+    """(model, transitions, marked): 2-5 states, both actions enabled
+    everywhere, each distribution over one denominator drawn from SMALL,
+    so that L fits in 64 bits; in half the frames the first four take the
+    LARGE primes instead, so that it does not."""
+    n = draw(st.integers(2, 5))
+    states = [f"s{i}" for i in range(n)]
+    large = draw(st.booleans())
+    transitions = {}
+    for j, (s, a) in enumerate(itertools.product(states, ACTIONS)):
+        d = LARGE[j] if large and j < len(LARGE) else draw(st.sampled_from(SMALL))
+        targets = draw(st.lists(st.sampled_from(states), min_size=1,
+                                max_size=min(3, d), unique=True))
+        cuts = sorted(draw(st.lists(st.integers(1, d - 1), min_size=len(targets) - 1,
+                                    max_size=len(targets) - 1, unique=True)))
+        shares = [hi - lo for lo, hi in zip([0] + cuts, cuts + [d])]
+        transitions[s, a] = [(t, Fraction(w, d)) for t, w in zip(targets, shares)]
+    marked = {s: draw(st.frozensets(st.sampled_from(ATOMS))) for s in states}
+    return load(frame_text(transitions, marked)), transitions, marked
+
+
+def induction(transitions, marked, word, tests):
+    """Q at every state by backward induction over plain Fractions: tests
+    is one atom for the last state, or one atom after each action."""
+    trace = len(tests) == len(word)
+    v = {s: Fraction(tests[-1] in atoms) for s, atoms in marked.items()}
+    for i in reversed(range(len(word))):
+        v = {s: sum((rho * v[t] for t, rho in transitions[s, word[i]]), Fraction(0))
+             * (1 if not (trace and i) else int(tests[i - 1] in marked[s]))
+             for s in marked}
+    return v
+
+
+def scale_of(transitions):
+    """The frame's (L, mult), computed here from the declared edges."""
+    denominators = {rho.denominator for succ in transitions.values() for _, rho in succ}
+    lcm = math.lcm(*denominators)
+    if lcm.bit_length() > 64:
+        return 1, None
+    return lcm, {d: lcm // d for d in denominators}
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=weighted_frames(), data=st.data(),
+       word=st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=5))
+def test_fraction_free_kernel_agrees_with_fraction_induction(frame, data, word):
+    model, transitions, marked = frame
+    assert model.frame.scale == scale_of(transitions)
+    for tests in ([data.draw(st.sampled_from(ATOMS))],
+                  data.draw(st.lists(st.sampled_from(ATOMS), min_size=len(word),
+                                     max_size=len(word)))):
+        want = induction(transitions, marked, word, tests)
+        e = parse(f"Q[{'; '.join(word)}]({'; '.join(tests)})")
+        for state in model.states:
+            got = evaluate(model, state, e).value
+            assert type(got) is Fraction and got == want[state], (state, tests)
+
+
+def two_denominator_frame(d1, d2):
+    """(model, transitions, marked): three states, a with denominator d1,
+    b with d2, p at s2 only."""
+    marked = {"s0": frozenset(), "s1": frozenset(), "s2": frozenset({"p"})}
+    transitions = {}
+    for s in marked:
+        transitions[s, "a"] = [("s1", Fraction(1, d1)), ("s2", Fraction(d1 - 1, d1))]
+        transitions[s, "b"] = [("s0", Fraction(d2 - 2, d2)), ("s2", Fraction(2, d2))]
+    return load(frame_text(transitions, marked)), transitions, marked
+
+
+def assert_q_matches_induction(model, transitions, marked, word):
+    want = induction(transitions, marked, word, ["p"])
+    e = parse(f"Q[{'; '.join(word)}](p)")
+    for state in model.states:
+        assert evaluate(model, state, e).value == want[state]
+
+
+WORD = ["a", "b", "b", "a", "b", "a"]
+
+
+def test_prime_denominators_past_64_bits_keep_fraction_weights():
+    model, transitions, marked = two_denominator_frame(LARGE[0] * LARGE[1], LARGE[2])
+    assert model.frame.scale == (1, None)
+    assert_q_matches_induction(model, transitions, marked, WORD)
+
+
+@pytest.mark.parametrize("d1, d2, lcm", [
+    (2**32 - 1, 2**32 + 1, 2**64 - 1),  # coprime: L is the largest 64-bit value
+    (2**64, 4, None),  # L = 2**64 needs 65 bits
+])
+def test_the_64_bit_boundary_of_the_common_denominator(d1, d2, lcm):
+    model, transitions, marked = two_denominator_frame(d1, d2)
+    if lcm is None:
+        assert model.frame.scale == (1, None)
+    else:
+        assert model.frame.scale == (lcm, {d1: lcm // d1, d2: lcm // d2})
+    assert_q_matches_induction(model, transitions, marked, WORD)
+
+
+def test_a_frame_without_transitions_has_scale_one(coin):
+    model = load("model bare\nstates s0 s1\nactions\n  a : action\n"
+                 "types\n  p : prop\nvaluation\n  s1 : p\n")
+    assert model.frame.scale == (1, {})
+    assert evaluate(model, "s0", parse("Q[](p)")).value == 0
+    assert evaluate(model, "s1", parse("Q[](p)")).value == 1
+    assert evaluate(model, "s1", parse("Q[](p)")).value.denominator == 1
+    with pytest.raises(DisabledAction):
+        evaluate(model, "s1", parse("Q[a](p)"))
+
+
+def test_frame_equality_and_hash_ignore_the_scale():
+    model, _, _ = two_denominator_frame(6, 4)
+    frame = model.frame
+    other = dataclasses.replace(frame)
+    object.__setattr__(other, "scale", (1, None))
+    assert frame == other and hash(frame) == hash(other)
+    assert "scale" not in repr(frame)
+
+
+def test_dia_compares_the_exact_edge_probability():
+    # L = 12 here: a's edge of 1/4 weighs 3 in the kernel, never in dia{p}
+    model, _, _ = two_denominator_frame(4, 6)
+    assert model.frame.scale[0] == 12
+    assert evaluate(model, "s0", parse("dia[a]{3/4} p")).value is True
+    assert evaluate(model, "s0", parse("dia[a]{6/8} p")).value is True
+    for p in ("3", "9", "1/4"):
+        assert evaluate(model, "s0", parse(f"dia[a]{{{p}}} p")).value is False

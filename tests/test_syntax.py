@@ -141,6 +141,18 @@ def test_alpha_eq_ignores_bound_names():
     assert not alpha_eq(a, c)
 
 
+def test_alpha_eq_matches_a_bound_occurrence_only_with_a_bound_one():
+    bound = Lam(Symbol("x", OBJ, "var"), var("x", OBJ))
+    captured = Lam(Symbol("x", OBJ, "var"), free("x"))
+    assert alpha_eq(bound, Lam(Symbol("y", OBJ, "var"), var("y", OBJ)))
+    assert not alpha_eq(captured, bound)
+    assert not alpha_eq(bound, captured)
+    assert not alpha_eq(parse("lam x : obj . x"), captured)
+    assert alpha_eq(captured, captured)
+    # outside any binder, a variable and a free name are different symbols
+    assert not alpha_eq(conj(var("y", OBJ), free("p")), conj(free("y"), free("p")))
+
+
 def test_alpha_eq_distinguishes_rationals():
     assert alpha_eq(rat(1, 2), rat(2, 4))
     assert not alpha_eq(rat(1, 2), rat(1, 3))
