@@ -64,8 +64,8 @@ def _render(e: Expr, bound: frozenset[str]) -> tuple[str, int]:
                 return s.name, APP_PREC
             raise ValueError(f"builtin '{s.name}' is not printable unapplied")
         case Lam(param, body):
-            inner = bound | {param.name}
-            return f"lam {_binder(param)} . {_print(body, IFF_PREC, inner)}", IFF_PREC
+            body_text = _print(body, IFF_PREC, bound | {param.name})
+            return f"lam {_binder(param)} . {body_text}", IFF_PREC
         case Q(actions, props):
             if not props:
                 raise ValueError("Q without a proposition is not printable")
@@ -75,11 +75,11 @@ def _render(e: Expr, bound: frozenset[str]) -> tuple[str, int]:
         case PredBinder(q, x, pred, body):
             if pred in BASE_TYPES:  # would read back as a typed binder
                 raise ValueError(f"predicate bound '{pred}' is a type name")
-            return f"{q} {_name(x)} : {_name(pred)} . {_print(body, IFF_PREC, bound | {x})}", IFF_PREC
-        case MemberBinder(q, x, members, body):
-            members_text = _print(members, CONS_PREC, bound)
             body_text = _print(body, IFF_PREC, bound | {x})
-            return f"{q} {_name(x)} in {members_text} . {body_text}", IFF_PREC
+            return f"{q} {_name(x)} : {_name(pred)} . {body_text}", IFF_PREC
+        case MemberBinder(q, x, members, body):
+            body_text = _print(body, IFF_PREC, bound | {x})
+            return f"{q} {_name(x)} in {_print(members, CONS_PREC, bound)} . {body_text}", IFF_PREC
         case App():
             return _render_app(e, bound)
     raise ValueError(f"unprintable term {e!r}")
