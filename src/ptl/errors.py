@@ -71,16 +71,17 @@ class ModelError(PtlError):
 
 
 class ProbabilitySumError(ModelError):
-    def __init__(self, message: str, total=None):
-        super().__init__(message)
+    def __init__(self, message: str, total=None, span: SourceSpan | None = None):
+        super().__init__(message, span)
         self.total = total
 
     @classmethod
-    def transitions(cls, state: str, action: str, total) -> "ProbabilitySumError":
+    def transitions(cls, state: str, action: str, total, span=None) -> "ProbabilitySumError":
         return cls(
             f"transition probabilities for action {action} at state {state} "
             f"sum to {total}, expected 1",
             total,
+            span,
         )
 
     @classmethod
@@ -89,16 +90,17 @@ class ProbabilitySumError(ModelError):
 
 
 class ProbabilityRangeError(ModelError):
-    def __init__(self, message: str, prob=None):
-        super().__init__(message)
+    def __init__(self, message: str, prob=None, span: SourceSpan | None = None):
+        super().__init__(message, span)
         self.prob = prob
 
     @classmethod
-    def transition(cls, state: str, action: str, prob) -> "ProbabilityRangeError":
+    def transition(cls, state: str, action: str, prob, span=None) -> "ProbabilityRangeError":
         return cls(
             f"transition probability {prob} for action {action} at state {state} "
             f"is outside (0, 1]",
             prob,
+            span,
         )
 
     @classmethod

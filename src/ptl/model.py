@@ -25,6 +25,7 @@ from .errors import (
     ModelError,
     ProbabilityRangeError,
     ProbabilitySumError,
+    SourceSpan,
     UnknownAction,
     UnknownObject,
     UnknownState,
@@ -55,6 +56,7 @@ AtomArgs = tuple[object, ...]  # object names (str) and numbers (Fraction)
 
 
 # ---------- parsed, unvalidated form ----------
+# a declaration read from a file carries its line; one built in code has none
 
 
 @dataclass
@@ -62,6 +64,7 @@ class SymbolDecl:
     name: str
     type: Type
     definition: Expr | None = None
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -71,6 +74,7 @@ class TransitionDecl:
     args: tuple[str, ...]
     target: str
     prob: Fraction
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -78,6 +82,7 @@ class ValuationDecl:
     state: str  # a state name, or "*" for every state
     atom: str
     args: AtomArgs
+    line: int | None = field(default=None, compare=False)
 
 
 @dataclass
@@ -90,6 +95,7 @@ class ModelSpec:
     actions: list[SymbolDecl] = field(default_factory=list)
     transitions: list[TransitionDecl] = field(default_factory=list)
     valuation: list[ValuationDecl] = field(default_factory=list)
+    source: str = "<model>"
 
 
 # ---------- validated form ----------
@@ -208,18 +214,24 @@ def _is_rigid_data(ty: Type) -> bool:
 
 def validate_model(spec: ModelSpec) -> Model:
     """Check every declaration and cross-reference; raises ModelError
-    subclasses, never returns a partially valid model."""
+    subclasses, never returns a partially valid model. Membership is tested
+    against sets, so the cost is linear in the spec; the first error is the
+    same as with lists. An error about a line of a file names the line."""
     if not spec.states:
         raise ModelError("a model needs at least one state")
+    states, objects = set(spec.states), set(spec.objects)
+
+    def at(decl: SymbolDecl | TransitionDecl | ValuationDecl | None) -> SourceSpan | None:
+        return None if decl is None or decl.line is None else SourceSpan(spec.source, decl.line, 1)
 
     names: dict[str, str] = {}
 
-    def declare(name: str, kind: str) -> None:
+    def declare(name: str, kind: str, decl: SymbolDecl | None = None) -> None:
         if not NAME.fullmatch(name):
-            raise ModelError(f"{kind} name {name!r} is not an identifier")
+            raise ModelError(f"{kind} name {name!r} is not an identifier", at(decl))
         if name in names:
             raise DuplicateDeclaration(
-                f"{kind} '{name}' already declared as {names[name]}"
+                f"{kind} '{name}' already declared as {names[name]}", at(decl)
             )
         names[name] = kind
 
@@ -231,90 +243,95 @@ def validate_model(spec: ModelSpec) -> Model:
     atoms: dict[str, tuple[Type, ...]] = {}
     rigid_decls: list[SymbolDecl] = []
     for decl in spec.symbols:
-        declare(decl.name, "symbol")
+        declare(decl.name, "symbol", decl)
         if is_atom_signature(decl.type):
             if decl.definition is not None:
-                raise ModelError(f"atom '{decl.name}' cannot have a definition")
+                raise ModelError(f"atom '{decl.name}' cannot have a definition", at(decl))
             atoms[decl.name] = atom_arg_types(decl.type)
         elif _is_rigid_data(decl.type):
             if decl.definition is None:
-                raise ModelError(f"rigid symbol '{decl.name}' needs a definition")
+                raise ModelError(f"rigid symbol '{decl.name}' needs a definition", at(decl))
             rigid_decls.append(decl)
         else:
             raise ModelError(
                 f"'{decl.name} : {decl.type}' is neither an atom signature "
-                "nor first-order data"
+                "nor first-order data", at(decl)
             )
 
     actions: dict[str, int] = {}
     for decl in spec.actions:
-        declare(decl.name, "action")
+        declare(decl.name, "action", decl)
         arity = action_arity(decl.type)
         if arity is None:
-            raise ModelError(f"'{decl.name} : {decl.type}' is not an action signature")
+            raise ModelError(f"'{decl.name} : {decl.type}' is not an action signature", at(decl))
         actions[decl.name] = arity
 
-    if spec.initial is not None and spec.initial not in spec.states:
+    if spec.initial is not None and spec.initial not in states:
         raise UnknownState(f"initial state {spec.initial} is not declared")
 
     rigid: dict[str, tuple[Type, Value]] = {}
     ground_env = {o: OBJ for o in spec.objects} | {s: STATE for s in spec.states}
     for decl in rigid_decls:
         check_type(decl.definition, decl.type, ground_env)
-        rigid[decl.name] = (decl.type, _eval_ground(decl.definition, spec))
+        rigid[decl.name] = (decl.type, _eval_ground(decl.definition, objects, states, at(decl)))
 
-    transitions: dict[tuple[str, GroundAction], list[tuple[str, Fraction]]] = {}
+    # one GroundAction per distinct (action, args), checked when first met
+    ground: dict[tuple[str, tuple[str, ...]], GroundAction] = {}
+    transitions: dict[tuple[str, GroundAction], list[TransitionDecl]] = {}
     seen_edges: set[tuple[str, GroundAction, str]] = set()
     for t in spec.transitions:
-        if t.source not in spec.states:
-            raise UnknownState(f"transition from unknown state {t.source}")
-        if t.target not in spec.states:
-            raise UnknownState(f"transition to unknown state {t.target}")
-        if t.action not in actions:
-            raise UnknownAction(f"transition under undeclared action {t.action}")
-        if len(t.args) != actions[t.action]:
-            raise UnknownAction(
-                f"action {t.action} takes {actions[t.action]} argument(s), "
-                f"got {len(t.args)}"
-            )
-        for a in t.args:
-            if a not in spec.objects:
-                raise UnknownObject(f"action argument {a} is not a declared object")
-        ga = GroundAction(t.action, t.args)
-        if not 0 < t.prob <= 1:
-            raise ProbabilityRangeError.transition(t.source, str(ga), t.prob)
+        if t.source not in states:
+            raise UnknownState(f"transition from unknown state {t.source}", at(t))
+        if t.target not in states:
+            raise UnknownState(f"transition to unknown state {t.target}", at(t))
+        ga = ground.get((t.action, t.args))
+        if ga is None:
+            if t.action not in actions:
+                raise UnknownAction(f"transition under undeclared action {t.action}", at(t))
+            if len(t.args) != actions[t.action]:
+                raise UnknownAction(
+                    f"action {t.action} takes {actions[t.action]} argument(s), "
+                    f"got {len(t.args)}", at(t)
+                )
+            for a in t.args:
+                if a not in objects:
+                    raise UnknownObject(f"action argument {a} is not a declared object", at(t))
+            ga = ground[t.action, t.args] = GroundAction(t.action, t.args)
+        # exact, since a Fraction's denominator is positive
+        if not 0 < t.prob.numerator <= t.prob.denominator:
+            raise ProbabilityRangeError.transition(t.source, str(ga), t.prob, at(t))
         edge = (t.source, ga, t.target)
         if edge in seen_edges:
             raise DuplicateTransition(
-                f"duplicate transition {t.source} --{ga}--> {t.target}"
+                f"duplicate transition {t.source} --{ga}--> {t.target}", at(t)
             )
         seen_edges.add(edge)
-        transitions.setdefault((t.source, ga), []).append((t.target, t.prob))
+        transitions.setdefault((t.source, ga), []).append(t)
 
     for (state, ga), succ in transitions.items():
-        total = sum(p for _, p in succ)
+        total = sum(t.prob for t in succ)
         if total != 1:
-            raise ProbabilitySumError.transitions(state, str(ga), total)
+            raise ProbabilitySumError.transitions(state, str(ga), total, at(succ[0]))
 
     valuation: set[tuple[str, str, AtomArgs]] = set()
     numeric_instances: dict[tuple[str, AtomArgs], None] = {}
     for entry in spec.valuation:
-        if entry.state != "*" and entry.state not in spec.states:
-            raise UnknownState(f"valuation for unknown state {entry.state}")
+        if entry.state != "*" and entry.state not in states:
+            raise UnknownState(f"valuation for unknown state {entry.state}", at(entry))
         if entry.atom not in atoms:
-            raise ModelError(f"valuation mentions undeclared atom {entry.atom}")
+            raise ModelError(f"valuation mentions undeclared atom {entry.atom}", at(entry))
         arg_types = atoms[entry.atom]
         if len(entry.args) != len(arg_types):
             raise ModelError(
                 f"atom {entry.atom} takes {len(arg_types)} argument(s), "
-                f"got {len(entry.args)}"
+                f"got {len(entry.args)}", at(entry)
             )
         for a, ty in zip(entry.args, arg_types):
             if ty == OBJ:
-                if not isinstance(a, str) or a not in spec.objects:
-                    raise UnknownObject(f"atom argument {a} is not a declared object")
+                if not isinstance(a, str) or a not in objects:
+                    raise UnknownObject(f"atom argument {a} is not a declared object", at(entry))
             elif not isinstance(a, Fraction):
-                raise ModelError(f"atom argument {a} should be a number")
+                raise ModelError(f"atom argument {a} should be a number", at(entry))
         args = tuple(entry.args)
         targets = spec.states if entry.state == "*" else [entry.state]
         for s in targets:
@@ -324,7 +341,7 @@ def validate_model(spec: ModelSpec) -> Model:
 
     frame = Frame(
         states=tuple(spec.states),
-        transitions={k: tuple(v) for k, v in transitions.items()},
+        transitions={k: tuple((t.target, t.prob) for t in v) for k, v in transitions.items()},
     )
     return Model(
         name=spec.name or "model",
@@ -339,18 +356,18 @@ def validate_model(spec: ModelSpec) -> Model:
     )
 
 
-def _eval_ground(term: Expr, spec: ModelSpec) -> Value:
+def _eval_ground(term: Expr, objects: set[str], states: set[str], span: SourceSpan | None) -> Value:
     """Interpret a rigid definition: object and state constants, rational
     literals, and list constructors only."""
     match term:
         case RatLit(v):
             return RatV(v)
         case Sym(s) if s.kind == "free":
-            if s.name in spec.objects:
+            if s.name in objects:
                 return ObjV(s.name)
-            if s.name in spec.states:
+            if s.name in states:
                 return StateV(s.name)
-            raise UnknownObject(f"'{s.name}' in a rigid definition is not declared")
+            raise UnknownObject(f"'{s.name}' in a rigid definition is not declared", span)
         case Sym(s) if s.kind == "list" and s.name == "nil":
             return ListV(())
         case App():
@@ -361,11 +378,11 @@ def _eval_ground(term: Expr, spec: ModelSpec) -> Value:
                 and head.symbol.name == "::"
                 and len(args) == 2
             ):
-                item = _eval_ground(args[0], spec)
-                rest = _eval_ground(args[1], spec)
+                item = _eval_ground(args[0], objects, states, span)
+                rest = _eval_ground(args[1], objects, states, span)
                 assert isinstance(rest, ListV)
                 return ListV((item,) + rest.items)
-    raise ModelError("rigid definitions may only use constants, nil and ::")
+    raise ModelError("rigid definitions may only use constants, nil and ::", span)
 
 
 def successors(

@@ -482,8 +482,9 @@ _TRANSITION = re.compile(r"^(\S+)\s*--(.*?)-->\s*(\S+)\s+@\s+(\S+)$")
 
 
 def parse_model(text: str, source: str = "<model>") -> ModelSpec:
-    """Parse a .ptlm file into an unvalidated ModelSpec."""
-    spec = ModelSpec()
+    """Parse a .ptlm file into an unvalidated ModelSpec whose declarations
+    carry their line numbers."""
+    spec = ModelSpec(source=source)
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = strip_comment(raw).strip()
@@ -491,7 +492,6 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        span = SourceSpan(source, lineno, 1)
         if head == "model":
             spec.name = rest
             continue
@@ -504,13 +504,18 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
             if not line:
                 continue
         if section is None:
-            raise ParseError(f"content before any section: {line!r}", span)
-        _model_line(spec, section, line, source, lineno)
+            raise ParseError(f"content before any section: {line!r}", SourceSpan(source, lineno, 1))
+        try:
+            _model_line(spec, section, line, source, lineno)
+        except ParseError as exc:
+            if exc.span is None:  # only a line that fails builds a span
+                exc.span = SourceSpan(source, lineno, 1)
+            raise
     return spec
 
 
 def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: int) -> None:
-    span = SourceSpan(source, lineno, 1)
+    """Read one line of a section; parse_model locates its errors."""
     if section == "objects":
         spec.objects.extend(line.split())
         return
@@ -520,42 +525,41 @@ def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: i
     if section in ("types", "actions"):
         name, sep, rhs = line.partition(":")
         if not sep:
-            raise ParseError(f"expected 'name : type', found {line!r}", span)
+            raise ParseError(f"expected 'name : type', found {line!r}")
         name = name.strip()
         type_text, eq_sep, def_text = rhs.partition("=")
         ty = parse_type(type_text.strip(), source)
         definition = parse(def_text.strip(), source) if eq_sep else None
-        decl = SymbolDecl(name, ty, definition)
+        decl = SymbolDecl(name, ty, definition, lineno)
         (spec.actions if section == "actions" else spec.symbols).append(decl)
         return
     if section == "transitions":
         m = _TRANSITION.match(line)
         if not m:
-            raise ParseError(f"malformed transition {line!r}", span)
+            raise ParseError(f"malformed transition {line!r}")
         source_state, action_text, target, prob_text = m.groups()
         term = ground_term(action_text)
         if term is None:
-            raise ParseError(f"malformed action term {action_text.strip()!r}", span)
+            raise ParseError(f"malformed action term {action_text.strip()!r}")
         head, args = term
-        spec.transitions.append(
-            TransitionDecl(source_state, head, args, target, parse_rational(prob_text, span))
-        )
+        prob = parse_rational(prob_text)
+        spec.transitions.append(TransitionDecl(source_state, head, args, target, prob, lineno))
         return
     if section == "valuation":
         state, sep, rhs = line.partition(":")
         if not sep:
-            raise ParseError(f"expected 'state : atoms', found {line!r}", span)
+            raise ParseError(f"expected 'state : atoms', found {line!r}")
         state = state.strip()
-        for part in _split_atoms(rhs.strip(), span):
+        for part in _split_atoms(rhs.strip()):
             term = ground_term(part)
             if term is None:
-                raise ParseError(f"malformed atom {part!r}", span)
+                raise ParseError(f"malformed atom {part!r}")
             atom, texts = term
             # an argument is an object name or a number
-            args = tuple(a if NAME.fullmatch(a) else parse_rational(a, span) for a in texts)
-            spec.valuation.append(ValuationDecl(state, atom, args))
+            args = tuple(a if NAME.fullmatch(a) else parse_rational(a) for a in texts)
+            spec.valuation.append(ValuationDecl(state, atom, args, lineno))
         return
-    raise ParseError(f"unexpected content in section {section}: {line!r}", span)
+    raise ParseError(f"unexpected content in section {section}: {line!r}")
 
 
 _GROUND_TERM = re.compile(rf"({NAME.pattern})(?:\((.*)\))?")
@@ -576,7 +580,7 @@ def ground_term(text: str) -> tuple[str, tuple[str, ...]] | None:
     return name, tuple(a.strip() for a in inner.split(","))
 
 
-def _split_atoms(text: str, span: SourceSpan) -> list[str]:
+def _split_atoms(text: str) -> list[str]:
     parts: list[str] = []
     depth = 0
     current = ""
@@ -593,5 +597,5 @@ def _split_atoms(text: str, span: SourceSpan) -> list[str]:
     if current.strip():
         parts.append(current.strip())
     if not parts:
-        raise ParseError("empty valuation entry", span)
+        raise ParseError("empty valuation entry")
     return parts

@@ -53,6 +53,53 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("--> st @ 1/2", "--> sx @ 1/2", "18:1: transition to unknown state sx"),
+        ("s0 --toss(c)--> st", "s0 --flip(c)--> st",
+         "18:1: transition under undeclared action flip"),
+        ("s0 --toss(c)--> st", "s0 --toss(d)--> st",
+         "18:1: action argument d is not a declared object"),
+        ("s0 --toss(c)--> st", "s0 --toss--> st", "18:1: action toss takes 1 argument(s), got 0"),
+        ("--> st @ 1/2", "--> st @ 3/2",
+         "18:1: transition probability 3/2 for action toss(c) at state s0 is outside (0, 1]"),
+        ("--> st @ 1/2", "--> st @ 1/3",
+         "17:1: transition probabilities for action toss(c) at state s0 sum to 5/6, expected 1"),
+        ("--> st @ 1/2\n", "--> st @ 1/2\n  s0 --toss(c)--> st @ 1/2\n",
+         "19:1: duplicate transition s0 --toss(c)--> st"),
+        ("tails : obj", "heads : obj", "14:1: symbol 'heads' already declared as symbol"),
+        ("toss : obj -> action", "toss : obj -> prop",
+         "10:1: 'toss : obj -> prop' is not an action signature"),
+        ("st : tails(c)", "sx : tails(c)", "22:1: valuation for unknown state sx"),
+        ("st : tails(c)", "st : tail(c)", "22:1: valuation mentions undeclared atom tail"),
+        ("st : tails(c)", "st : tails", "22:1: atom tails takes 1 argument(s), got 0"),
+        ("st : tails(c)", "st : tails(q)", "22:1: atom argument q is not a declared object"),
+    ],
+    ids=[
+        "unknown-state", "unknown-action", "unknown-object", "arity", "range", "sum",
+        "duplicate-transition", "duplicate-declaration", "action-signature",
+        "valuation-state", "valuation-atom", "valuation-arity", "valuation-object",
+    ],
+)
+def test_model_errors_name_the_file_and_line(capsys, tmp_path, old, new, message):
+    path = tmp_path / "bad.ptlm"
+    path.write_text(corpus_text("coin.ptlm").replace(old, new, 1))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}:{message}\n")
+
+
+def test_entail_names_the_bad_model_among_several(capsys, tmp_path):
+    path = tmp_path / "bad.ptlm"
+    path.write_text(corpus_text("coin.ptlm").replace("st : tails(c)", "st : tails(q)"))
+    code, out, err = run(
+        capsys, "entail", corpus_path("coin.ptlm"), str(path), corpus_path("biasedcoin.ptlm"),
+        "--theory", corpus_path("coin.ptl"), "--conclusion", "true",
+    )
+    message = f"error: {path}:22:1: atom argument q is not a declared object\n"
+    assert (code, out, err) == (2, "", message)
+
+
 # ---------- eval ----------
 
 def test_eval_inline_formula(capsys):
@@ -246,8 +293,9 @@ def test_modal_nodes_evaluate_the_body_at_every_successor(capsys, tmp_path, form
     path = tmp_path / "branch.ptlm"
     path.write_text(MODAL_BRANCH)
     code, out, err = run(capsys, "check", str(path), formula)
-    assert code == 3
-    assert "action b has no transitions at state s2" in out + err
+    # an evaluation error is a report like any verdict: stdout, exit 3
+    assert (code, err) == (3, "")
+    assert "action b has no transitions at state s2" in out
 
 
 def test_check_witness_locates_the_failure(capsys):

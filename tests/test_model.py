@@ -302,3 +302,141 @@ def test_equal_text_gives_equal_models_and_hashes():
     relabelled = corpus_text("coin.ptlm").replace("st : tails(c)", "st : heads(c)")
     other = validate_model(parse_model(relabelled))
     assert other.frame == a.frame and other != a
+
+
+class CountingList(list):
+    """A list that counts membership tests, to pin how often validation
+    scans the declared states and objects."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.contains_calls = 0
+
+    def __contains__(self, item):
+        self.contains_calls += 1
+        return super().__contains__(item)
+
+
+COUNTED = """model counted
+types
+  r : obj -> prop
+  p : prop
+  D : [obj] = o1 :: o2 :: nil
+  home : state = s2
+objects o1 o2
+states s0 s1 s2
+initial s0
+actions
+  pick : obj -> action
+transitions
+  s0 --pick(o1)--> s1 @ 1/2
+  s0 --pick(o1)--> s2 @ 1/2
+  s1 --pick(o2)--> s0 @ 1
+  s2 --pick(o1)--> s2 @ 1
+valuation
+  s1 : r(o1), p
+  s2 : r(o2)
+  * : r(o1)
+"""
+
+
+def test_validation_does_not_scan_the_state_and_object_lists():
+    # a membership test per transition, valuation entry or rigid constant
+    # would make validation cost O(|S|·|E|)
+    spec = parse_model(COUNTED)
+    spec.states, spec.objects = CountingList(spec.states), CountingList(spec.objects)
+    model = validate_model(spec)
+    assert spec.states.contains_calls + spec.objects.contains_calls <= 1
+    assert model == validate_model(parse_model(COUNTED))
+
+
+def test_transitions_under_one_ground_action_share_one_object():
+    model = validate_model(parse_model(COUNTED))
+    keys = {(state, str(ga)): ga for state, ga in model.frame.transitions}
+    assert keys["s0", "pick(o1)"] is keys["s2", "pick(o1)"]
+    assert keys["s0", "pick(o1)"] is not keys["s1", "pick(o2)"]
+
+
+def _with_pick(spec):
+    spec.objects.append("o1")
+    spec.actions.append(SymbolDecl("pick", Arrow(OBJ, ACTION)))
+    spec.symbols.append(SymbolDecl("r", Arrow(OBJ, PROP)))
+
+
+def _late_target_and_valuation_object(spec):
+    _with_pick(spec)
+    spec.transitions.append(TransitionDecl("v", "pick", ("o1",), "u", Fraction(1)))
+    spec.transitions.append(TransitionDecl("v", "a", (), "nowhere", Fraction(1)))
+    spec.valuation.append(ValuationDecl("u", "r", ("ghost",)))
+
+
+def _bad_sum_and_undeclared_atom(spec):
+    spec.transitions[1] = TransitionDecl("u", "a", (), "v", Fraction(1, 3))
+    spec.valuation.append(ValuationDecl("u", "ghost", ()))
+
+
+def _target_and_object_in_one_transition(spec):
+    _with_pick(spec)
+    spec.transitions.append(TransitionDecl("v", "pick", ("mystery",), "nowhere", Fraction(1)))
+
+
+def _arity_after_a_valid_use_of_the_action(spec):
+    _with_pick(spec)
+    spec.transitions.append(TransitionDecl("v", "pick", ("o1",), "u", Fraction(1)))
+    spec.transitions.append(TransitionDecl("u", "pick", (), "v", Fraction(1)))
+
+
+def _range_before_duplicate(spec):
+    spec.transitions.append(TransitionDecl("v", "a", (), "u", Fraction(0)))
+    spec.transitions.append(TransitionDecl("u", "a", (), "v", Fraction(1, 2)))
+
+
+def _duplicate_before_sum(spec):
+    spec.transitions.append(TransitionDecl("u", "a", (), "v", Fraction(1, 2)))
+
+
+def _object_on_a_wildcard_row_before_a_number(spec):
+    _with_pick(spec)
+    spec.valuation.append(ValuationDecl("*", "r", ("ghost",)))
+    spec.valuation.append(ValuationDecl("u", "r", (Fraction(1),)))
+
+
+@pytest.mark.parametrize(
+    "break_spec, message",
+    [
+        (_late_target_and_valuation_object, "transition to unknown state nowhere"),
+        (_bad_sum_and_undeclared_atom,
+         "transition probabilities for action a at state u sum to 5/6, expected 1"),
+        (_target_and_object_in_one_transition, "transition to unknown state nowhere"),
+        (_arity_after_a_valid_use_of_the_action, "action pick takes 1 argument(s), got 0"),
+        (_range_before_duplicate,
+         "transition probability 0 for action a at state v is outside (0, 1]"),
+        (_duplicate_before_sum, "duplicate transition u --a--> v"),
+        (_object_on_a_wildcard_row_before_a_number,
+         "atom argument ghost is not a declared object"),
+    ],
+)
+def test_the_first_of_two_faults_is_reported(break_spec, message):
+    spec = tiny_spec()
+    break_spec(spec)
+    with pytest.raises(ModelError) as exc:
+        validate_model(spec)
+    assert (str(exc.value), exc.value.span) == (message, None)
+
+
+@pytest.mark.parametrize(
+    "name", ["bag4.ptlm", "coin.ptlm", "dice12.ptlm", "montyhall.ptlm", "twotoss.ptlm"]
+)
+def test_validated_frames_group_transitions_in_declaration_order(name):
+    spec = parse_model(corpus_text(name), source=name)
+    expected: dict = {}
+    for t in spec.transitions:
+        key = (t.source, GroundAction(t.action, t.args))
+        expected.setdefault(key, []).append((t.target, t.prob))
+    model = validate_model(spec)
+    assert list(model.frame.transitions.items()) == [(k, tuple(v)) for k, v in expected.items()]
+    assert model.valuation == {
+        (state, entry.atom, entry.args)
+        for entry in spec.valuation
+        for state in (spec.states if entry.state == "*" else [entry.state])
+    }
