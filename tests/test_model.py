@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus_text, load_model
+from conftest import CORPUS, corpus_text, load_model
 
 from ptl import parse_model, validate_model
 from ptl.errors import (
@@ -425,7 +425,7 @@ def test_the_first_of_two_faults_is_reported(break_spec, message):
 
 
 @pytest.mark.parametrize(
-    "name", ["bag4.ptlm", "coin.ptlm", "dice12.ptlm", "montyhall.ptlm", "twotoss.ptlm"]
+    "name", sorted(p.name for p in CORPUS.iterdir() if p.name.endswith(".ptlm"))
 )
 def test_validated_frames_group_transitions_in_declaration_order(name):
     spec = parse_model(corpus_text(name), source=name)
