@@ -10,7 +10,13 @@ A check compiles its formula once (`evaluator.compile_expr`), a comparison
 as its relation and two sides, and runs it at each state it visits. The
 compiler's facts say whether the formula reads the current state outside
 `@` and which side of a comparison holds a Q, the side whose number a
-report records.
+report records. A violation's witness comes from the compiled closures as
+well: each node's `explain` re-runs its compiled children and compiles
+nothing. The trail descends through `box[a] B` (the first failing
+successor, in declaration order), `@s B`, `forall` over a literal lambda
+(the first failing instance, in domain order), `A /\\ B` (A if it fails,
+else B) and `A -> B` (B); it ends at any other node, a top-level
+comparison included.
 
 Entailment here is relative to a supplied family of models, not to all
 models of the signature; the CLI says so in its output header.
@@ -23,20 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LengthMismatch, PtlError
-from .evaluator import (
-    _ground_action,
-    _q,
-    apply_value,
-    compile_expr,
-    describe,
-    eval_q,
-    eval_q_trace,
-    evaluate,
-    truth,
-)
+from .evaluator import _q, apply_value, compile_expr, describe, eval_q, eval_q_trace
 from .model import Model, successors
-from .syntax import App, Expr, Lam, Sym, Symbol, conj
-from .values import BoolV, GroundAction, RatV, StateV, render_rational, render_value
+from .syntax import App, Expr, Sym, Symbol, conj
+from .values import BoolV, GroundAction, RatV, render_rational, render_value
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -139,7 +135,7 @@ def _checker(model: Model, formula: Expr) -> tuple[Callable[[str], CheckReport],
     def check(state: str) -> CheckReport:
         try:
             model.frame.require(state)
-            values = [code(state, {}) for code, _, _ in compiled]
+            values = [code(state, {}) for code, *_ in compiled]
             value = values[0] if sides is None else apply_value(apply_value(*values[:2]), values[2])
         except PtlError as exc:
             return _error_report(exc)
@@ -154,56 +150,12 @@ def _checker(model: Model, formula: Expr) -> tuple[Callable[[str], CheckReport],
             report.details.update(lhs=render_rational(lv), rhs=render_rational(rv))
             report.numeric = lv if left else rv
         if not value.value:
-            trail = _drill(model, state, formula, {})
-            report.witness = {"state": _trail_state(trail, state), "trail": trail}
+            # a comparison's first part is its relation, which does not descend
+            trail = compiled[0][3](formula, state, {})
+            report.witness = {"state": trail[-1]["state"], "trail": trail}
         return report
 
-    return check, all(independent for _, independent, _ in compiled)
-
-
-def _trail_state(trail: list[dict], default: str) -> str:
-    state = default
-    for step in trail:
-        state = step.get("state", state)
-    return state
-
-
-def _drill(model: Model, state: str, expr: Expr, env: dict) -> list[dict]:
-    """Walk a violated formula toward a concrete failing point, recording
-    the states and instantiations chosen along the way."""
-    match expr:
-        case App(App(Sym(Symbol("box", _, "modal")), action_e), body):
-            ga = _ground_action(model, state, action_e, env)
-            for w, _ in model.frame.successors(state, ga):
-                if not truth(model, w, body, env):
-                    step = {"step": "box", "action": str(ga), "state": w}
-                    return [step] + _drill(model, w, body, env)
-        case App(App(Sym(Symbol("@", _, "hybrid")), state_e), body):
-            v = evaluate(model, state, state_e, env)
-            if isinstance(v, StateV) and not truth(model, v.name, body, env):
-                step = {"step": "at", "state": v.name}
-                return [step] + _drill(model, v.name, body, env)
-        case App(Sym(Symbol("forall", _, "quant")), Lam(param, body)):
-            from .evaluator import _domain  # shared domain enumeration
-
-            for v in _domain(model, param.type):
-                inner = dict(env)
-                inner[param.name] = v
-                if not truth(model, state, body, inner):
-                    step = {
-                        "step": "instantiate",
-                        "var": param.name,
-                        "value": render_value(v),
-                    }
-                    return [step] + _drill(model, state, body, inner)
-        case App(App(Sym(Symbol("/\\", _, "logical")), left), right):
-            if not truth(model, state, left, env):
-                return _drill(model, state, left, env)
-            return _drill(model, state, right, env)
-        case App(App(Sym(Symbol("->", _, "logical")), left), right):
-            if truth(model, state, left, env):
-                return _drill(model, state, right, env)
-    return [{"step": "fails", "state": state, "formula": describe(expr, frozenset(env))}]
+    return check, all(independent for _, independent, *_ in compiled)
 
 
 # ---------- entailment over a model family ----------

@@ -76,6 +76,7 @@ from .model import Model
 
 Env = dict[str, Value]
 Code = Callable[[str, Env], Value]
+Explain = Callable[[Expr, str, Env], list[dict]]
 
 
 def evaluate(model: Model, state: str, expr: Expr, env: Env | None = None) -> Value:
@@ -95,54 +96,101 @@ def eval_arith(model: Model, state: str, expr: Expr, env: Env | None = None) -> 
     return _num(evaluate(model, state, expr, env))
 
 
-def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool, bool]:
-    """The closure `run(state, env)` that evaluates expr, and the facts
-    `independent` and `has_q`. Only atoms, `in`, the modal operators and Q
-    read the current state; @ moves its body to a state of its own,
+def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool, bool, Explain]:
+    """The closure `run(state, env)` that evaluates expr, the facts
+    `independent` and `has_q`, and `explain(expr, state, env)`, expr's
+    witness trail where it is false. Only atoms, `in`, the modal operators
+    and Q read the current state; @ moves its body to a state of its own,
     closures run at their captured state, and quantifier domains and rigid
-    values are plain data. So `independent` holds when every such read
-    sits under @: then expr has the same value, or raises the same error,
-    at every state (a sufficient test, not a complete one). `has_q` holds
-    when expr contains a Q node anywhere, under @ and lambdas too."""
+    values are plain data. So `independent` holds when every such read sits
+    under @: then expr has the same value, or raises the same error, at
+    every state (a sufficient test, not a complete one). `has_q` holds when
+    expr contains a Q node anywhere, under @ and lambdas too."""
     match expr:
         case RatLit(v):
             value = RatV(v)
-            return (lambda state, env: value), True, False
+            return (lambda state, env: value), True, False, _fails
         case Sym(s):
-            return (*_compile_symbol(model, s.name, s.kind, expr.span), False)
-        case Lam(param, body):
-            code, independent, has_q = compile_expr(model, body)
-            return (lambda state, env: ClosureV(param, code, dict(env), state)), independent, has_q
+            return (*_compile_symbol(model, s.name, s.kind, expr.span), False, _fails)
+        case Lam(param, body):  # its explain is its body's, for a forall over it
+            code, independent, has_q, explain = compile_expr(model, body)
+            closure = lambda state, env: ClosureV(param, code, dict(env), state)
+            return closure, independent, has_q, explain
         case Q(actions, props):
             acts = [compile_expr(model, a)[0] for a in actions]
             tests = [compile_expr(model, p)[0] for p in props]
-            return (lambda state, env: RatV(_q(model, state, acts, tests, env))), False, True
+            return (lambda state, env: RatV(_q(model, state, acts, tests, env))), False, True, _fails
         case App():
             head, args = spine(expr)
-            run, independent, has_q = compile_expr(model, head)
+            run, independent, has_q, _ = compile_expr(model, head)
             key = (head.symbol.name, head.symbol.kind) if isinstance(head, Sym) else None
-            codes = []
+            codes, explains = [], []
             for i, arg in enumerate(args):  # a loop: a comprehension adds a frame per level
-                code, fact, q = compile_expr(model, arg)
+                code, fact, q, explain = compile_expr(model, arg)
                 codes.append(code)
+                explains.append(explain)
                 # @ moves its body, the second argument, to a state of its own
                 independent = independent and (fact or (key == ("@", "hybrid") and i == 1))
                 has_q = has_q or q
             arity = ARITY.get(key, 0)
+            explain = (_explainer(model, key, args, codes, explains)
+                       if key in _DESCENDING and len(args) == arity else _fails)
             if key == ("@", "hybrid"):
                 if len(codes) == 1:
-                    return _fail("'@' must be fully applied"), independent, has_q
+                    return _fail("'@' must be fully applied"), independent, has_q, _fails
                 run, codes = _at(model, codes[0], codes[1]), codes[2:]
             elif key is not None and key[1] == "modal":
                 if len(codes) < arity:
-                    return _fail(f"'{key[0]}' must be fully applied"), False, has_q
+                    return _fail(f"'{key[0]}' must be fully applied"), False, has_q, _fails
                 action, *prob, body = codes[:arity]  # dia{p} has a probability
                 run = _modal(model, action, prob[0] if prob else None, body, key[0] == "box")
                 codes, independent = codes[arity:], False
             elif 0 < arity <= len(codes):
                 run, codes = _call(model, _BUILTINS[key], head.span, codes[:arity]), codes[arity:]
-            return _applied(run, codes), independent, has_q
-    return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False, False
+            return _applied(run, codes), independent, has_q, explain
+    return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False, False, _fails
+
+
+_DESCENDING = {("box", "modal"), ("@", "hybrid"), ("forall", "quant"), ("/\\", "logical"),
+               ("->", "logical")}
+
+
+def _explainer(model: Model, key, args: list[Expr], codes: list[Code],
+               explains: list[Explain]) -> Explain:
+    """The explain of a fully applied builtin that descends (see `checker`):
+    it runs only where its node is false, and re-runs compiled children."""
+    match key:
+        case ("box", "modal"):
+            def explain(expr: Expr, state: str, env: Env) -> list[dict]:
+                ga = _action(codes[0](state, env))
+                w = next(w for w, _ in model.frame.successors(state, ga)
+                         if not _bool(codes[1](w, env)))
+                step = {"step": "box", "action": str(ga), "state": w}
+                return [step, *explains[1](args[1], w, env)]
+        case ("@", "hybrid"):
+            def explain(expr: Expr, state: str, env: Env) -> list[dict]:
+                w = codes[0](state, env).name
+                return [{"step": "at", "state": w}, *explains[1](args[1], w, env)]
+        case ("forall", "quant") if isinstance(args[0], Lam):
+            def explain(expr: Expr, state: str, env: Env) -> list[dict]:
+                f = codes[0](state, env)
+                v = next(v for v in _domain(model, f.param.type) if not _bool(apply_value(f, v)))
+                step = {"step": "instantiate", "var": f.param.name, "value": render_value(v)}
+                return [step, *explains[0](args[0].body, state, {**env, f.param.name: v})]
+        case ("/\\", "logical") | ("->", "logical"):
+            # A /\ B fails at A if A fails, else at B; A -> B fails only where
+            # A holds, so at B
+            def explain(expr: Expr, state: str, env: Env) -> list[dict]:
+                i = int(_bool(codes[0](state, env)))
+                return explains[i](args[i], state, env)
+        case _:
+            return _fails
+    return explain
+
+
+def _fails(expr: Expr, state: str, env: Env) -> list[dict]:
+    """The explain of a node that does not descend: the trail ends at it."""
+    return [{"step": "fails", "state": state, "formula": describe(expr, frozenset(env))}]
 
 
 def _fail(message: str, span=None) -> Code:

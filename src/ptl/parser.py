@@ -149,9 +149,10 @@ class Token:
     span: SourceSpan
 
 
-def tokenize(text: str, source: str = "<formula>") -> list[Token]:
+def tokenize(text: str, source: str = "<formula>", line: int = 1, column: int = 1) -> list[Token]:
+    """The tokens of text, located as if it began at line and column of source."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
+    line_start = 1 - column  # the offset of column 1 on the current line
     for m in _TOKEN.finditer(text):
         kind, word = m.lastgroup, m.group()
         if kind == "skip":
@@ -389,22 +390,22 @@ def _combine(part: Expr, op: Token, right: Expr) -> Expr:
     return App(App(Sym(_INFIX[kind][0]), part), right, span=span)
 
 
-def parse_formula(text: str, source: str = "<formula>") -> Expr:
+def parse_formula(text: str, source: str = "<formula>", line: int = 1, column: int = 1) -> Expr:
     """Parse one formula; the result may contain sugared binders."""
-    p = _Parser(tokenize(text, source))
+    p = _Parser(tokenize(text, source, line, column))
     e = p.expr()
     if p.tok.kind != "eof":
         raise ParseError(f"trailing input {p.tok.text!r}", p.tok.span)
     return e
 
 
-def parse(text: str, source: str = "<formula>") -> Expr:
+def parse(text: str, source: str = "<formula>", line: int = 1, column: int = 1) -> Expr:
     """Parse and desugar in one step."""
-    return desugar(parse_formula(text, source))
+    return desugar(parse_formula(text, source, line, column))
 
 
-def parse_type(text: str, source: str = "<type>") -> Type:
-    p = _Parser(tokenize(text, source))
+def parse_type(text: str, source: str = "<type>", line: int = 1, column: int = 1) -> Type:
+    p = _Parser(tokenize(text, source, line, column))
     ty = p.type_()
     if p.tok.kind != "eof":
         raise ParseError(f"trailing input {p.tok.text!r}", p.tok.span)
@@ -436,16 +437,14 @@ def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
     defs: dict[str, Expr] = {}
     current: str | None = None
     body: list[str] = []
-    start_line = 0
+    start = (0, 1)  # the line and column of the current def's formula
 
     def flush() -> None:
         if current is None:
             return
         if current in defs:
-            raise ParseError(f"duplicate def '{current}'", SourceSpan(source, start_line, 1))
-        defs[current] = parse(
-            "\n" * (start_line - 1) + "\n".join(body), source
-        )
+            raise ParseError(f"duplicate def '{current}'", SourceSpan(source, start[0], 1))
+        defs[current] = parse("\n".join(body), source, *start)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = strip_comment(raw)
@@ -453,14 +452,11 @@ def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
         if m:
             flush()
             current = m.group(1)
-            # pad so spans in multi-line defs stay accurate
-            body = [" " * (len(raw) - len(m.group(2))) + m.group(2)]
-            start_line = lineno
+            body = [m.group(2)]
+            start = (lineno, len(stripped.rstrip()) - len(m.group(2)) + 1)
         elif stripped.strip():
             if current is None:
-                raise ParseError(
-                    "expected 'def name := formula'", SourceSpan(source, lineno, 1)
-                )
+                raise ParseError("expected 'def name := formula'", SourceSpan(source, lineno, 1))
             body.append(stripped)
         elif current is not None:
             body.append("")
@@ -487,7 +483,8 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
     spec = ModelSpec(source=source)
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).strip()
+        code = strip_comment(raw).rstrip()
+        line = code.lstrip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -506,7 +503,7 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
         if section is None:
             raise ParseError(f"content before any section: {line!r}", SourceSpan(source, lineno, 1))
         try:
-            _model_line(spec, section, line, source, lineno)
+            _model_line(spec, section, line, source, lineno, len(code) - len(line))
         except ParseError as exc:
             if exc.span is None:  # only a line that fails builds a span
                 exc.span = SourceSpan(source, lineno, 1)
@@ -514,8 +511,10 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
     return spec
 
 
-def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: int) -> None:
-    """Read one line of a section; parse_model locates its errors."""
+def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: int,
+                offset: int) -> None:
+    """Read one line of a section, which starts at offset of its line in the
+    file; parse_model locates its errors."""
     if section == "objects":
         spec.objects.extend(line.split())
         return
@@ -526,11 +525,11 @@ def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: i
         name, sep, rhs = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'name : type', found {line!r}")
-        name = name.strip()
+        column = offset + len(name) + 2  # of rhs
         type_text, eq_sep, def_text = rhs.partition("=")
-        ty = parse_type(type_text.strip(), source)
-        definition = parse(def_text.strip(), source) if eq_sep else None
-        decl = SymbolDecl(name, ty, definition, lineno)
+        ty = parse_type(type_text.rstrip(), source, lineno, column)
+        definition = parse(def_text, source, lineno, column + len(type_text) + 1) if eq_sep else None
+        decl = SymbolDecl(name.strip(), ty, definition, lineno)
         (spec.actions if section == "actions" else spec.symbols).append(decl)
         return
     if section == "transitions":

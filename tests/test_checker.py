@@ -5,6 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import load_formulas
+
+import ptl.checker
+import ptl.evaluator
 from ptl import parse, parse_model, validate_model
 from ptl.checker import (
     ERROR,
@@ -137,6 +141,154 @@ def test_globally_satisfies_reports_the_first_bad_state(twosucc):
     assert report.details["violating_state"] == "u"
     good = globally_satisfies(twosucc, parse("hit \\/ in(s0)"))
     assert good.verdict == SATISFIED
+
+
+# ---------- witness trails ----------
+
+# s3 is declared first, so a quantifier over states meets it before s0
+SHAPES = validate_model(parse_model("""model shapes
+objects c d
+states s3 s0 s1 s2
+actions
+  a : action
+types
+  p : prop
+  q : obj -> prop
+transitions
+  s0 --a--> s1 @ 1/2
+  s0 --a--> s2 @ 1/2
+  s1 --a--> s3 @ 1
+  s2 --a--> s3 @ 1
+  s3 --a--> s3 @ 1
+valuation
+  s3 : p, q(c), q(d)
+  s0 : p, q(c)
+  s1 : p, q(c)
+  s2 : q(d)
+"""))
+
+
+def fails(state, formula):
+    return {"step": "fails", "state": state, "formula": formula}
+
+
+def violated(state, *trail, numeric=None, details=None):
+    """The whole report of a violation with this witness."""
+    return {
+        "verdict": VIOLATED,
+        "witness": {"state": state, "trail": list(trail)},
+        "numeric": numeric,
+        "warnings": [],
+        "details": details or {},
+        "message": None,
+    }
+
+
+def test_witness_descends_through_every_descending_shape():
+    # forall: w := s3 holds, s0 is the first failing instance; ->: p holds
+    # at s0; /\: q(c) holds, so the right conjunct; box: s1 is a good
+    # successor, s2 the first bad one
+    formula = parse("forall w : state . @w (p -> (q(c) /\\ box[a] (q(c) \\/ in(w))))")
+    assert satisfies(SHAPES, "s1", formula).to_dict() == violated(
+        "s2",
+        {"step": "instantiate", "var": "w", "value": "s0"},
+        {"step": "at", "state": "s0"},
+        {"step": "box", "action": "a", "state": "s2"},
+        fails("s2", "q(c) \\/ in(w)"),
+    )
+
+
+def test_witness_takes_the_left_conjunct_when_it_fails():
+    report = satisfies(SHAPES, "s2", parse("q(c) /\\ box[a] ~ p"))
+    assert report.to_dict() == violated("s2", fails("s2", "q(c)"))
+
+
+def test_witness_of_an_implication_with_a_true_antecedent():
+    report = satisfies(SHAPES, "s1", parse("p /\\ (q(c) -> (p /\\ (p -> box[a] ~ q(d))))"))
+    assert report.to_dict() == violated(
+        "s3", {"step": "box", "action": "a", "state": "s3"}, fails("s3", "~ q(d)")
+    )
+
+
+# (formula false at s0, its trail from s0); all but forall over bool end at once
+NON_DESCENDING = [
+    ("exists x : obj . q(x) /\\ ~ p", [fails("s0", "exists x : obj . q(x) /\\ ~ p")]),
+    ("~ p", [fails("s0", "~ p")]),
+    ("q(d) \\/ ~ p", [fails("s0", "q(d) \\/ ~ p")]),
+    ("p <-> q(d)", [fails("s0", "p <-> q(d)")]),
+    ("dia[a] (p /\\ q(d))", [fails("s0", "dia[a] (p /\\ q(d))")]),
+    ("dia[a]{1/3} q(c)", [fails("s0", "dia[a]{1/3} q(c)")]),
+    ("forall b : bool . b",
+     [{"step": "instantiate", "var": "b", "value": "false"}, fails("s0", "b")]),
+    ("Q[a](q(c)) = 1", [fails("s0", "Q[a](q(c)) = 1")]),
+]
+
+
+@pytest.mark.parametrize("text, trail", NON_DESCENDING, ids=[t for t, _ in NON_DESCENDING])
+def test_witness_of_a_shape_at_the_root(text, trail):
+    # a top-level comparison also records its sides
+    comparing = text.startswith("Q")
+    report = satisfies(SHAPES, "s0", parse(text))
+    assert report.to_dict() == violated(
+        "s0", *trail,
+        numeric="1/2" if comparing else None,
+        details={"lhs": "1/2", "rhs": "1"} if comparing else None,
+    )
+
+
+@pytest.mark.parametrize("text, trail", NON_DESCENDING, ids=[t for t, _ in NON_DESCENDING])
+def test_witness_of_a_shape_under_descending_ones(text, trail):
+    # w := s3 satisfies the implication vacuously; under it no comparison
+    # is top-level, so no sides are recorded
+    formula = parse(f"forall w : state . @w (in(s0) -> ({text}))")
+    assert satisfies(SHAPES, "s1", formula).to_dict() == violated(
+        "s0",
+        {"step": "instantiate", "var": "w", "value": "s0"},
+        {"step": "at", "state": "s0"},
+        *trail,
+    )
+
+
+def test_a_global_witness_at_the_last_state():
+    # ~ p fails at s3, s0 and s1, so s2 is the first state whose box runs
+    report = globally_satisfies(SHAPES, parse("~ p -> box[a] ~ q(c)"))
+    expected = violated(
+        "s3", {"step": "box", "action": "a", "state": "s3"}, fails("s3", "~ q(c)")
+    )
+    expected["details"] = {"violating_state": "s2"}
+    assert report.to_dict() == expected
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Every compile_expr call, recursive ones included."""
+    original, count = ptl.evaluator.compile_expr, [0]
+
+    def counted(model, expr):
+        count[0] += 1
+        return original(model, expr)
+
+    monkeypatch.setattr(ptl.evaluator, "compile_expr", counted)
+    monkeypatch.setattr(ptl.checker, "compile_expr", counted)
+    return count
+
+
+def test_a_witness_compiles_nothing(montyhall, compile_calls):
+    formula = load_formulas("montyhall.ptl")["failed_any_pick"]
+    ptl.evaluator.compile_expr(montyhall, formula)
+    assert compile_calls[0] == 21
+    compile_calls[0] = 0
+    report = satisfies(montyhall, "s0", formula)
+    assert report.witness["state"] == "c1_p1_o3"
+    assert compile_calls[0] == 21
+
+
+def test_a_late_global_witness_compiles_the_formula_once(compile_calls):
+    formula = parse("~ p -> box[a] ~ q(c)")
+    ptl.evaluator.compile_expr(SHAPES, formula)
+    once, compile_calls[0] = compile_calls[0], 0
+    assert globally_satisfies(SHAPES, formula).details == {"violating_state": "s2"}
+    assert compile_calls[0] == once
 
 
 # ---------- entailment ----------

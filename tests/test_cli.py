@@ -89,6 +89,26 @@ def test_model_errors_name_the_file_and_line(capsys, tmp_path, old, new, message
     assert (code, out, err) == (2, "", f"error: {path}:{message}\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("  n : num = 1 +", "15:16: unexpected token ''"),
+        # reported by validation, from the definition's own spans
+        ("  r : obj = zz", "15:13: unbound symbol 'zz'"),
+        ("  k : obj -> ", "15:13: expected a type, found ''"),
+    ],
+    ids=["definition", "unbound", "type"],
+)
+def test_type_and_definition_errors_name_the_file_line_and_column(
+    capsys, tmp_path, line, message
+):
+    path = tmp_path / "bad.ptlm"
+    last = "tails : obj -> prop\n"
+    path.write_text(corpus_text("coin.ptlm").replace(last, f"{last}{line}\n", 1))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}:{message}\n")
+
+
 def test_entail_names_the_bad_model_among_several(capsys, tmp_path):
     path = tmp_path / "bad.ptlm"
     path.write_text(corpus_text("coin.ptlm").replace("st : tails(c)", "st : tails(q)"))

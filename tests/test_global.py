@@ -59,7 +59,7 @@ TRUTH_TABLE = [
     "text, independent, has_q", TRUTH_TABLE, ids=[f"{t}-{i}" for t, i, _ in TRUTH_TABLE]
 )
 def test_state_independent_truth_table(text, independent, has_q):
-    _, *facts = compile_expr(SMALL, parse(text))
+    _, *facts, _ = compile_expr(SMALL, parse(text))
     assert facts == [independent, has_q]
 
 

@@ -381,6 +381,28 @@ def test_formula_file_definitions_keep_order():
     assert list(defs) == ["a", "b"]
 
 
+def test_tokens_start_at_the_given_line_and_column():
+    # the column applies to the first line only
+    tokens = tokenize("p /\\\n  q", "f", 5, 7)
+    assert [(t.text, t.span.line, t.span.column) for t in tokens] == [
+        ("p", 5, 7), ("/\\", 5, 9), ("q", 6, 3), ("", 6, 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        # the comment does not count towards the column
+        ("def ok := true\n\ndef bad := p /\\ -- a note\n", "defs:3:16"),
+        ("def ok := true\ndef bad :=\n  box[t] H ->\n  = 1\n", "defs:4:3"),
+    ],
+    ids=["comment", "continued"],
+)
+def test_formula_file_errors_name_the_line_and_column(text, where):
+    with pytest.raises(ParseError, match=f"^{where}: "):
+        parse_formula_file(text, source="defs")
+
+
 def test_formula_file_rejects_duplicates_and_empty():
     with pytest.raises(ParseError):
         parse_formula_file("def a := p\ndef a := q\n", source="dup")
