@@ -151,11 +151,12 @@ def compile_expr(model: Model, expr: Expr) -> tuple[Code, bool, bool, Explain]:
     return _fail(f"cannot evaluate {type(expr).__name__}; desugar first"), False, False, _fails
 
 
+# the keys `_explainer` descends through, tested first so that other nodes make no call
 _DESCENDING = {("box", "modal"), ("@", "hybrid"), ("forall", "quant"), ("/\\", "logical"),
                ("->", "logical")}
 
 
-def _explainer(model: Model, key, args: list[Expr], codes: list[Code],
+def _explainer(model: Model, key: tuple[str, str], args: list[Expr], codes: list[Code],
                explains: list[Explain]) -> Explain:
     """The explain of a fully applied builtin that descends (see `checker`):
     it runs only where its node is false, and re-runs compiled children."""

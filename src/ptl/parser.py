@@ -483,8 +483,7 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
     spec = ModelSpec(source=source)
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = strip_comment(raw).rstrip()
-        line = code.lstrip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -503,7 +502,7 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
         if section is None:
             raise ParseError(f"content before any section: {line!r}", SourceSpan(source, lineno, 1))
         try:
-            _model_line(spec, section, line, source, lineno, len(code) - len(line))
+            _model_line(spec, section, line, source, lineno, raw)
         except ParseError as exc:
             if exc.span is None:  # only a line that fails builds a span
                 exc.span = SourceSpan(source, lineno, 1)
@@ -512,9 +511,9 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
 
 
 def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: int,
-                offset: int) -> None:
-    """Read one line of a section, which starts at offset of its line in the
-    file; parse_model locates its errors."""
+                raw: str) -> None:
+    """Read one line of a section, the end of raw, line lineno of the file
+    without its comment; parse_model locates its errors."""
     if section == "objects":
         spec.objects.extend(line.split())
         return
@@ -525,7 +524,7 @@ def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: i
         name, sep, rhs = line.partition(":")
         if not sep:
             raise ParseError(f"expected 'name : type', found {line!r}")
-        column = offset + len(name) + 2  # of rhs
+        column = len(strip_comment(raw).rstrip()) - len(line) + len(name) + 2  # of rhs
         type_text, eq_sep, def_text = rhs.partition("=")
         ty = parse_type(type_text.rstrip(), source, lineno, column)
         definition = parse(def_text, source, lineno, column + len(type_text) + 1) if eq_sep else None
