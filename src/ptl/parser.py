@@ -512,8 +512,8 @@ def parse_model(text: str, source: str = "<model>") -> ModelSpec:
 
 def _model_line(spec: ModelSpec, section: str, line: str, source: str, lineno: int,
                 raw: str) -> None:
-    """Read one line of a section, the end of raw, line lineno of the file
-    without its comment; parse_model locates its errors."""
+    """Read line, what is left of the file's line lineno (raw) without its
+    comment and section head; parse_model locates its errors."""
     if section == "objects":
         spec.objects.extend(line.split())
         return
