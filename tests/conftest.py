@@ -1,16 +1,18 @@
-"""Shared fixtures: bundled corpus models, parsed once per session, and
-a count of successor lookups.
+"""Shared fixtures: bundled corpus models, parsed once per session, a
+count of successor lookups and a wrong one-step probability.
 
 Also prints a one-line verdict per acceptance criterion at the end of
 the run, collected from the test_criterion_* results.
 """
 
+import itertools
 import re
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from ptl import parse_formula_file, parse_model, validate_model
+from ptl import adequacy, parse_formula_file, parse_model, validate_model
 from ptl.model import Frame
 
 CORPUS = resources.files("ptl").joinpath("corpus")
@@ -84,6 +86,23 @@ def successor_calls(monkeypatch):
 
     monkeypatch.setattr(Frame, "successors", counted)
     return calls
+
+
+@pytest.fixture
+def wrong_probability(monkeypatch):
+    """Call with n: from then on the n-th one-step probability that
+    `check_adequacy` takes comes out 1/7 too large."""
+    def make_wrong(call):
+        real = adequacy.eval_q
+        calls = itertools.count(1)
+
+        def eval_q(*args):
+            q = real(*args)
+            return q + Fraction(1, 7) if next(calls) == call else q
+
+        monkeypatch.setattr(adequacy, "eval_q", eval_q)
+
+    return make_wrong
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")

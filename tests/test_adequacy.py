@@ -225,6 +225,37 @@ def test_check_adequacy_passes_and_counts_events():
     assert report.details["events_checked"] > 0
 
 
+def test_a_wrong_probability_is_reported_with_its_event(wrong_probability):
+    wrong_probability(29)
+    report = check_adequacy(parse_space(corpus_text("die.pspace")), depth=3)
+    assert report.to_dict() == {
+        "verdict": "violated",
+        "witness": {"event": "~({one} | {two})", "measure": "2/3", "probability": "17/21"},
+        "numeric": "17/21",
+        "warnings": [],
+        "details": {"events_checked": 29},
+        "message": None,
+    }
+
+
+def test_a_witness_over_keyword_named_outcomes_is_reported(wrong_probability):
+    # `true` would read back as the constant, so the event prints as a term
+    wrong_probability(4)
+    space = ProbabilitySpace(
+        "k", ("true", "nil", "box"),
+        {"true": Fraction(1, 2), "nil": Fraction(1, 3), "box": Fraction(1, 6)},
+    )
+    report = check_adequacy(space)
+    assert report.to_dict() == {
+        "verdict": "violated",
+        "witness": {"event": "~{true}", "measure": "1/2", "probability": "9/14"},
+        "numeric": "9/14",
+        "warnings": [],
+        "details": {"events_checked": 4},
+        "message": None,
+    }
+
+
 # ---------- the adequacy law, at scale ----------
 
 def random_space(rng, index):

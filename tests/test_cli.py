@@ -462,6 +462,32 @@ def test_adequacy_fixture_spaces(capsys):
         assert "satisfied" in out
 
 
+def test_adequacy_prints_the_witness_of_a_wrong_probability(capsys, wrong_probability):
+    wrong_probability(29)
+    code, out, err = run(capsys, "adequacy", corpus_path("die.pspace"))
+    assert (code, err) == (1, "")
+    assert out == (
+        "die: violated (29 events checked)\n"
+        "  witness: state ?\n"
+        "    event: ~({one} | {two})\n"
+        "    measure: 2/3\n"
+        "    probability: 17/21\n"
+    )
+
+
+def test_keyword_named_outcomes_check_and_translate(capsys, tmp_path):
+    space = tmp_path / "k.pspace"
+    space.write_text("space k\noutcomes: true nil box\n"
+                     "mass: true 1/2\nmass: nil 1/3\nmass: box 1/6\n")
+    assert run(capsys, "adequacy", str(space)) == (0, "k: satisfied (8 events checked)\n", "")
+    model = tmp_path / "k.ptlm"
+    code, _, err = run(capsys, "translate", str(space), "-o", str(model))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "validate", str(model))
+    assert (code, err) == (0, "")
+    assert out.endswith(": valid (4 states, 3 transitions, 3 atoms, 1 actions)\n")
+
+
 def test_adequacy_rejects_bad_space(capsys, tmp_path):
     text = corpus_text("die.pspace").replace("mass: six 1/6", "mass: six 1/5")
     path = tmp_path / "bad.pspace"
