@@ -1,24 +1,29 @@
 """Finite classical probability spaces and their frame translation.
 
 A space is a list of named outcomes with exact rational masses summing
-to 1. Events are set expressions over outcome names: singletons, unions,
-intersections and complements. Outcome names follow the one name rule of
-every input format, `syntax.NAME`, so each is also a valid state name, and
-`.pspace` comments are those of `parser.strip_comment`.
+to 1. Outcome names follow the one name rule of every input format,
+`syntax.NAME`, so each is also a valid state name, and `.pspace` comments
+are those of `parser.strip_comment`.
+
+An event is a propositional formula over outcome names: each outcome is
+the free symbol of its name, and events combine with `~`, `/\\` and `\\/`.
+`parse_formula` reads event text and `print_formula` writes it. An
+outcome named like a keyword (`true`, `nil`, `box`) is still an event,
+built with `syntax.free`, but its text does not read back, so a witness
+shows such an event as a term (see `evaluator.describe`).
 
 `translate_space` turns a space into a one-step frame: a fresh initial
 state with a single `sample` action whose transitions land, with the
 outcome's mass, in a state labeled by that outcome's indicator atom.
 Outcomes of mass zero get no state; they are unreachable and no formula
-needs to mention them. `translate_event` maps a set expression to the
-corresponding formula over the indicator atoms, and `check_adequacy`
-verifies exact agreement between event measure and one-step probability
-across an enumerated family of events.
+needs to mention them. `translate_event` renames an event's outcomes to
+their indicator atoms, and `check_adequacy` verifies exact agreement
+between event measure and one-step probability across an enumerated
+family of events.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,10 +35,11 @@ from .errors import (
     ParseError,
     ProbabilityRangeError,
     ProbabilitySumError,
+    PtlError,
     SourceSpan,
     UnknownOutcome,
 )
-from .evaluator import eval_q
+from .evaluator import describe, eval_q
 from .model import (
     Model,
     ModelSpec,
@@ -43,7 +49,7 @@ from .model import (
     validate_model,
 )
 from .parser import parse_rational, strip_comment
-from .syntax import ACTION, BOT, NAME, PROP, Expr, conj, disj, free, neg, sym
+from .syntax import ACTION, BOT, NAME, PROP, App, Expr, Sym, Symbol, conj, disj, free, neg, sym
 from .values import GroundAction, render_rational
 
 SAMPLE = GroundAction("sample", ())
@@ -81,140 +87,27 @@ def validate_space(space: ProbabilitySpace) -> None:
         raise ProbabilitySumError.masses(space.name, total)
 
 
-# ---------- events as set expressions ----------
+# ---------- events as formulas ----------
 
 
-class SetExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class Singleton(SetExpr):
-    outcome: str
-
-
-@dataclass(frozen=True)
-class Complement(SetExpr):
-    inner: SetExpr
-
-
-@dataclass(frozen=True)
-class Union(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-@dataclass(frozen=True)
-class Intersection(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-def denote(space: ProbabilitySpace, event: SetExpr) -> frozenset[str]:
+def denote(space: ProbabilitySpace, event: Expr) -> frozenset[str]:
     """The subset of outcomes an event stands for."""
     match event:
-        case Singleton(o):
+        case Sym(Symbol(name=o, kind="free")):
             if o not in space.outcomes:
                 raise UnknownOutcome(f"'{o}' is not an outcome of {space.name}")
             return frozenset({o})
-        case Complement(inner):
+        case App(Sym(Symbol(name="~", kind="logical")), inner):
             return frozenset(space.outcomes) - denote(space, inner)
-        case Union(left, right):
+        case App(App(Sym(Symbol(name="\\/", kind="logical")), left), right):
             return denote(space, left) | denote(space, right)
-        case Intersection(left, right):
+        case App(App(Sym(Symbol(name="/\\", kind="logical")), left), right):
             return denote(space, left) & denote(space, right)
     raise ModelError(f"unknown event form {event!r}")
 
 
-def measure(space: ProbabilitySpace, event: SetExpr) -> Fraction:
+def measure(space: ProbabilitySpace, event: Expr) -> Fraction:
     return sum((space.mass[o] for o in denote(space, event)), Fraction(0))
-
-
-def render_set_expr(event: SetExpr) -> str:
-    def go(e: SetExpr, level: int) -> str:
-        match e:
-            case Singleton(o):
-                return "{" + o + "}"
-            case Complement(inner):
-                return "~" + go(inner, 2)
-            case Intersection(left, right):
-                text = f"{go(left, 1)} & {go(right, 2)}"
-                return f"({text})" if level > 1 else text
-            case Union(left, right):
-                text = f"{go(left, 0)} | {go(right, 1)}"
-                return f"({text})" if level > 0 else text
-        raise ModelError(f"unknown event form {e!r}")
-
-    return go(event, 0)
-
-
-def parse_set_expr(text: str) -> SetExpr:
-    """`{a}` singleton, `~E` complement, `E & E` intersection, `E | E`
-    union; `&` binds tighter than `|`, `~` tightest."""
-    tokens = _set_tokens(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"unexpected end of event expression '{text}'")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected '{expected}', found '{tok}' in '{text}'")
-        pos += 1
-        return tok
-
-    def union() -> SetExpr:
-        e = inter()
-        while peek() == "|":
-            take()
-            e = Union(e, inter())
-        return e
-
-    def inter() -> SetExpr:
-        e = prefix()
-        while peek() == "&":
-            take()
-            e = Intersection(e, prefix())
-        return e
-
-    def prefix() -> SetExpr:
-        if peek() == "~":
-            take()
-            return Complement(prefix())
-        if peek() == "{":
-            take()
-            name = take()
-            if not NAME.fullmatch(name):
-                raise ParseError(f"expected an outcome name, found '{name}'")
-            take("}")
-            return Singleton(name)
-        if peek() == "(":
-            take()
-            e = union()
-            take(")")
-            return e
-        raise ParseError(f"unexpected '{peek()}' in event expression '{text}'")
-
-    e = union()
-    if pos != len(tokens):
-        raise ParseError(f"trailing '{tokens[pos]}' in event expression '{text}'")
-    return e
-
-
-def _set_tokens(text: str) -> list[str]:
-    """Names and single non-blank characters; only `{}~|&()` are allowed
-    besides names."""
-    out = re.findall(rf"{NAME.pattern}|\S", text)
-    for tok in out:
-        if not NAME.fullmatch(tok) and tok not in "{}~|&()":
-            raise ParseError(f"bad character '{tok}' in event expression '{text}'")
-    if not out:
-        raise ParseError("empty event expression")
-    return out
 
 
 # ---------- space files ----------
@@ -310,27 +203,27 @@ def translate_space(space: ProbabilitySpace, name: str | None = None) -> Model:
     return validate_model(spec)
 
 
-def translate_event(space: ProbabilitySpace, event: SetExpr) -> Expr:
+def translate_event(space: ProbabilitySpace, event: Expr) -> Expr:
     """The formula that holds exactly at the states of the event's
-    positive-mass outcomes. Zero-mass singletons become falsum: no state
-    carries their indicator, so the measure stays untouched."""
+    positive-mass outcomes. A zero-mass outcome becomes falsum: no state
+    carries its indicator, so the measure stays untouched."""
     match event:
-        case Singleton(o):
+        case Sym(Symbol(name=o, kind="free")):
             if o not in space.outcomes:
                 raise UnknownOutcome(f"'{o}' is not an outcome of {space.name}")
             if space.mass[o] == 0:
                 return sym(BOT)
             return free(indicator_name(o))
-        case Complement(inner):
+        case App(Sym(Symbol(name="~", kind="logical")), inner):
             return neg(translate_event(space, inner))
-        case Union(left, right):
+        case App(App(Sym(Symbol(name="\\/", kind="logical")), left), right):
             return disj(translate_event(space, left), translate_event(space, right))
-        case Intersection(left, right):
+        case App(App(Sym(Symbol(name="/\\", kind="logical")), left), right):
             return conj(translate_event(space, left), translate_event(space, right))
     raise ModelError(f"unknown event form {event!r}")
 
 
-def event_probability(space: ProbabilitySpace, event: SetExpr, model: Model | None = None) -> Fraction:
+def event_probability(space: ProbabilitySpace, event: Expr, model: Model | None = None) -> Fraction:
     """One-step probability of the translated event in the translated frame."""
     if model is None:
         model = translate_space(space)
@@ -339,30 +232,38 @@ def event_probability(space: ProbabilitySpace, event: SetExpr, model: Model | No
 
 def enumerate_events(
     space: ProbabilitySpace, depth: int = 2, max_events: int = 512
-) -> list[SetExpr]:
-    """Set expressions over the space, one per distinct denotation.
+) -> list[Expr]:
+    """Events over the space, one per distinct denotation.
 
     Starts from the singletons and closes under complement, union and
-    intersection for `depth` rounds, keeping only expressions whose
+    intersection for `depth` rounds, building only events whose
     denotation is new. Small spaces reach the full event algebra. Each
     candidate's denotation is combined from the stored denotations of its
-    operands, never re-derived through `denote`."""
+    operands, never re-derived through `denote`. Raises PtlError for a
+    negative depth or a cap below 1."""
+    if depth < 0:
+        raise PtlError(f"event depth must be at least 0, got {depth}")
+    if max_events < 1:
+        raise PtlError(f"max_events must be at least 1, got {max_events}")
     everything = frozenset(space.outcomes)
-    events: dict[frozenset[str], SetExpr] = {}
+    events: dict[frozenset[str], Expr] = {}
     for o in space.outcomes:
-        events.setdefault(frozenset({o}), Singleton(o))
+        events.setdefault(frozenset({o}), free(o))
     for _ in range(depth):
         if len(events) >= max_events:
             break
         current = list(events.items())
         for d, e in current:
-            events.setdefault(everything - d, Complement(e))
+            if everything - d not in events:
+                events[everything - d] = neg(e)
         for da, a in current:
             if len(events) >= max_events:
                 break
             for db, b in current:
-                events.setdefault(da | db, Union(a, b))
-                events.setdefault(da & db, Intersection(a, b))
+                if da | db not in events:
+                    events[da | db] = disj(a, b)
+                if da & db not in events:
+                    events[da & db] = conj(a, b)
     return list(events.values())[:max_events]
 
 
@@ -380,7 +281,7 @@ def check_adequacy(
             return CheckReport(
                 VIOLATED,
                 witness={
-                    "event": render_set_expr(event),
+                    "event": describe(event),
                     "measure": render_rational(m),
                     "probability": render_rational(q),
                 },

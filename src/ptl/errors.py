@@ -136,7 +136,7 @@ class NameClash(ModelError):
 
 
 class UnknownOutcome(PtlError):
-    """Set expression names an outcome missing from the sample space."""
+    """An event names an outcome missing from the sample space."""
 
 
 class EvalError(PtlError):

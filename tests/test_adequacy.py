@@ -1,7 +1,7 @@
 """Classical probability spaces and their one-step frame translation.
 
-The core law checked here: for any finite space and any event built from
-singletons with complement, union, and intersection, the measure of the
+The core law checked here: for any finite space and any event, a formula
+over outcome names built with `~`, `/\\` and `\\/`, the measure of the
 event equals the probability the translated frame assigns to the
 translated formula. The bulk of the file exercises that law over a
 hundred randomly generated spaces, exactly, with no tolerance.
@@ -19,20 +19,14 @@ from hypothesis import strategies as st
 from conftest import corpus_text
 
 from ptl.adequacy import (
-    Complement,
-    Intersection,
     ProbabilitySpace,
-    Singleton,
-    Union,
     check_adequacy,
     denote,
     enumerate_events,
     event_probability,
     indicator_name,
     measure,
-    parse_set_expr,
     parse_space,
-    render_set_expr,
     serialize_space,
     support,
     translate_event,
@@ -47,7 +41,9 @@ from ptl.errors import (
     UnknownOutcome,
 )
 from ptl.evaluator import truth
+from ptl.parser import parse_formula
 from ptl.printer import print_formula
+from ptl.syntax import conj, disj, free, neg
 
 
 def space_of(**mass):
@@ -108,27 +104,28 @@ def test_outcomes_must_be_distinct():
 
 def test_denotation_and_measure():
     die = parse_space(corpus_text("die.pspace"))
-    evens = Union(Singleton("two"), Union(Singleton("four"), Singleton("six")))
+    evens = disj(free("two"), disj(free("four"), free("six")))
     assert denote(die, evens) == {"two", "four", "six"}
     assert measure(die, evens) == Fraction(1, 2)
-    assert measure(die, Complement(evens)) == Fraction(1, 2)
-    assert measure(die, Intersection(evens, Singleton("two"))) == Fraction(1, 6)
+    assert measure(die, neg(evens)) == Fraction(1, 2)
+    assert measure(die, conj(evens, free("two"))) == Fraction(1, 6)
 
 
-def test_set_expression_parsing_and_precedence():
-    e = parse_set_expr("~{a} & {b} | {c}")
-    # ~ binds tightest, & next, | loosest
-    assert isinstance(e, Union)
-    assert isinstance(e.left, Intersection)
-    assert isinstance(e.left.left, Complement)
-
-
-def test_set_expressions_round_trip():
-    texts = ["{a}", "~{a}", "{a} & ({b} | ~{c})", "~(~{a} | {b}) & {c}"]
+def test_events_read_and_print_as_formulas():
+    abc = space_of(a=Fraction(1, 2), b=Fraction(1, 3), c=Fraction(1, 6))
+    # ~ binds tightest, /\ next, \/ loosest: each other grouping of this
+    # text denotes another set
+    e = parse_formula(r"~ a /\ b \/ a")
+    assert e == disj(conj(neg(free("a")), free("b")), free("a"))
+    assert denote(abc, e) == {"a", "b"}
+    assert denote(abc, parse_formula(r"~ a /\ (b \/ a)")) == {"b"}
+    assert denote(abc, parse_formula(r"~ (a /\ b) \/ a")) == {"a", "b", "c"}
+    assert denote(abc, parse_formula(r"~ (a /\ b \/ a)")) == {"b", "c"}
+    texts = ["a", "~ a", r"a /\ (b \/ ~ c)", r"~ (~ a \/ b) /\ c", r"a \/ b \/ c"]
     for text in texts:
-        e = parse_set_expr(text)
-        again = parse_set_expr(render_set_expr(e))
-        assert again == e
+        e = parse_formula(text)
+        assert print_formula(e) == text
+        assert parse_formula(print_formula(e)) == e
 
 
 def test_space_header_is_the_word_space():
@@ -144,9 +141,10 @@ def test_outcome_names_follow_the_name_rule():
     space = parse_space("space s\noutcomes: x' y\nmass: x' 1/3\nmass: y 2/3\n")
     assert space.outcomes == ("x'", "y")
     assert check_adequacy(space).verdict == "satisfied"
-    e = parse_set_expr("{x'} | ~{y}")
-    assert e == Union(Singleton("x'"), Complement(Singleton("y")))
-    assert parse_set_expr(render_set_expr(e)) == e
+    e = parse_formula(r"x' \/ ~ y")
+    assert e == disj(free("x'"), neg(free("y")))
+    assert parse_formula(print_formula(e)) == e
+    assert denote(space, e) == {"x'"}
 
 
 def test_a_malformed_mass_names_its_file_and_line():
@@ -173,9 +171,9 @@ def test_translation_shape():
     # indicators exist exactly for the supported outcomes; a dropped
     # outcome's event is the false proposition
     assert set(model.atoms) == {indicator_name("win"), indicator_name("lose")}
-    assert print_formula(translate_event(biased, Singleton("draw"))) == "false"
-    assert truth(model, "win", translate_event(biased, Singleton("win")))
-    assert not truth(model, "win", translate_event(biased, Singleton("lose")))
+    assert print_formula(translate_event(biased, free("draw"))) == "false"
+    assert truth(model, "win", translate_event(biased, free("win")))
+    assert not truth(model, "win", translate_event(biased, free("lose")))
 
 
 def test_translated_indicators_hold_exactly_at_their_outcome():
@@ -183,7 +181,7 @@ def test_translated_indicators_hold_exactly_at_their_outcome():
     model = translate_space(die)
     for o in die.outcomes:
         for state in support(die):
-            assert truth(model, state, translate_event(die, Singleton(o))) == (
+            assert truth(model, state, translate_event(die, free(o))) == (
                 state == o
             )
 
@@ -199,9 +197,9 @@ def test_translation_rejects_reserved_outcome_names():
 
 def test_zero_mass_events_translate_to_the_empty_proposition():
     biased = parse_space(corpus_text("biased2.pspace"))
-    assert event_probability(biased, Singleton("draw")) == 0
-    assert measure(biased, Singleton("draw")) == 0
-    assert event_probability(biased, Complement(Singleton("draw"))) == 1
+    assert event_probability(biased, free("draw")) == 0
+    assert measure(biased, free("draw")) == 0
+    assert event_probability(biased, neg(free("draw"))) == 1
 
 
 def test_event_probability_equals_measure_on_the_die():
@@ -212,9 +210,9 @@ def test_event_probability_equals_measure_on_the_die():
         for combo in itertools.combinations(die.outcomes, k):
             event = None
             for o in combo:
-                event = Singleton(o) if event is None else Union(event, Singleton(o))
+                event = free(o) if event is None else disj(event, free(o))
             if event is None:
-                event = Intersection(Singleton("one"), Complement(Singleton("one")))
+                event = conj(free("one"), neg(free("one")))
             assert measure(die, event) == event_probability(die, event, model)
 
 
@@ -230,7 +228,7 @@ def test_a_wrong_probability_is_reported_with_its_event(wrong_probability):
     report = check_adequacy(parse_space(corpus_text("die.pspace")), depth=3)
     assert report.to_dict() == {
         "verdict": "violated",
-        "witness": {"event": "~({one} | {two})", "measure": "2/3", "probability": "17/21"},
+        "witness": {"event": r"~ (one \/ two)", "measure": "2/3", "probability": "17/21"},
         "numeric": "17/21",
         "warnings": [],
         "details": {"events_checked": 29},
@@ -239,7 +237,7 @@ def test_a_wrong_probability_is_reported_with_its_event(wrong_probability):
 
 
 def test_a_witness_over_keyword_named_outcomes_is_reported(wrong_probability):
-    # `true` would read back as the constant, so the event prints as a term
+    # `true` would read back as the constant, so the event shows as a term
     wrong_probability(4)
     space = ProbabilitySpace(
         "k", ("true", "nil", "box"),
@@ -248,7 +246,8 @@ def test_a_witness_over_keyword_named_outcomes_is_reported(wrong_probability):
     report = check_adequacy(space)
     assert report.to_dict() == {
         "verdict": "violated",
-        "witness": {"event": "~{true}", "measure": "1/2", "probability": "9/14"},
+        "witness": {"event": repr(neg(free("true"))), "measure": "1/2",
+                    "probability": "9/14"},
         "numeric": "9/14",
         "warnings": [],
         "details": {"events_checked": 4},
@@ -271,13 +270,13 @@ def random_space(rng, index):
 
 def random_event(rng, outcomes, depth):
     if depth == 0 or rng.random() < 0.3:
-        return Singleton(rng.choice(outcomes))
+        return free(rng.choice(outcomes))
     shape = rng.randrange(3)
     if shape == 0:
-        return Complement(random_event(rng, outcomes, depth - 1))
+        return neg(random_event(rng, outcomes, depth - 1))
     left = random_event(rng, outcomes, depth - 1)
     right = random_event(rng, outcomes, depth - 1)
-    return (Union if shape == 1 else Intersection)(left, right)
+    return (disj if shape == 1 else conj)(left, right)
 
 
 def test_adequacy_on_a_hundred_random_spaces():
@@ -322,19 +321,19 @@ def enumerate_by_denote(space, depth, max_events):
     """The enumeration with every candidate's denotation taken by `denote`."""
     events = {}
     for o in space.outcomes:
-        events.setdefault(denote(space, Singleton(o)), Singleton(o))
+        events.setdefault(denote(space, free(o)), free(o))
     for _ in range(depth):
         if len(events) >= max_events:
             break
         current = list(events.values())
         for e in current:
-            events.setdefault(denote(space, Complement(e)), Complement(e))
+            events.setdefault(denote(space, neg(e)), neg(e))
         for a in current:
             if len(events) >= max_events:
                 break
             for b in current:
-                events.setdefault(denote(space, Union(a, b)), Union(a, b))
-                events.setdefault(denote(space, Intersection(a, b)), Intersection(a, b))
+                events.setdefault(denote(space, disj(a, b)), disj(a, b))
+                events.setdefault(denote(space, conj(a, b)), conj(a, b))
     return list(events.values())[:max_events]
 
 

@@ -469,7 +469,7 @@ def test_adequacy_prints_the_witness_of_a_wrong_probability(capsys, wrong_probab
     assert out == (
         "die: violated (29 events checked)\n"
         "  witness: state ?\n"
-        "    event: ~({one} | {two})\n"
+        "    event: ~ (one \\/ two)\n"
         "    measure: 2/3\n"
         "    probability: 17/21\n"
     )
@@ -486,6 +486,20 @@ def test_keyword_named_outcomes_check_and_translate(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(model))
     assert (code, err) == (0, "")
     assert out.endswith(": valid (4 states, 3 transitions, 3 atoms, 1 actions)\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--max-events", "-1", "max_events must be at least 1, got -1"),
+        ("--max-events", "0", "max_events must be at least 1, got 0"),
+        ("--depth", "-1", "event depth must be at least 0, got -1"),
+    ],
+    ids=["negative-cap", "zero-cap", "negative-depth"],
+)
+def test_adequacy_rejects_bad_caps(capsys, option, value, message):
+    path = corpus_path("die.pspace")
+    assert run(capsys, "adequacy", path, option, value) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_adequacy_rejects_bad_space(capsys, tmp_path):
