@@ -111,16 +111,19 @@ def test_denotation_and_measure():
     assert measure(die, conj(evens, free("two"))) == Fraction(1, 6)
 
 
-def test_events_read_and_print_as_formulas():
+def test_set_expression_parsing_and_precedence():
+    # events are formulas over outcome names; ~ binds tightest, /\ next,
+    # \/ loosest: each other grouping of this text denotes another set
     abc = space_of(a=Fraction(1, 2), b=Fraction(1, 3), c=Fraction(1, 6))
-    # ~ binds tightest, /\ next, \/ loosest: each other grouping of this
-    # text denotes another set
     e = parse_formula(r"~ a /\ b \/ a")
     assert e == disj(conj(neg(free("a")), free("b")), free("a"))
     assert denote(abc, e) == {"a", "b"}
     assert denote(abc, parse_formula(r"~ a /\ (b \/ a)")) == {"b"}
     assert denote(abc, parse_formula(r"~ (a /\ b) \/ a")) == {"a", "b", "c"}
     assert denote(abc, parse_formula(r"~ (a /\ b \/ a)")) == {"b", "c"}
+
+
+def test_set_expressions_round_trip():
     texts = ["a", "~ a", r"a /\ (b \/ ~ c)", r"~ (~ a \/ b) /\ c", r"a \/ b \/ c"]
     for text in texts:
         e = parse_formula(text)
