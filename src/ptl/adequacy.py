@@ -268,10 +268,12 @@ def enumerate_events(
 
 
 def check_adequacy(
-    space: ProbabilitySpace, depth: int = 2, max_events: int = 512
+    space: ProbabilitySpace, depth: int = 2, max_events: int = 512, model: Model | None = None
 ) -> CheckReport:
-    """Measure each enumerated event both ways and compare exactly."""
-    model = translate_space(space)
+    """Measure each enumerated event both ways and compare exactly, in
+    `model`, the space's translation (built here when not given)."""
+    if model is None:
+        model = translate_space(space)
     checked = 0
     for event in enumerate_events(space, depth, max_events):
         m = measure(space, event)

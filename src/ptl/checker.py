@@ -24,7 +24,7 @@ models of the signature; the CLI says so in its output header.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,7 +80,7 @@ class Theory:
     """A named set of axioms closed over a model signature."""
 
     name: str
-    axioms: dict[str, Expr]
+    axioms: Mapping[str, Expr]
 
 
 def _error_report(exc: PtlError) -> CheckReport:

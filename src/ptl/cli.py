@@ -16,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Mapping
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
@@ -97,8 +98,8 @@ def _load_formulas(ref: str) -> list[tuple[str, Expr]]:
             raise ParseError(f"{path} has no definition named '{frag}'")
         return [(frag, defs[frag])]
     if ref.endswith(".ptl"):
-        defs = parse_formula_file(_read(Path(ref)), source=ref)
-        return list(defs.items())
+        # every body is parsed, in file order, before any is typechecked
+        return list(parse_formula_file(_read(Path(ref)), source=ref).items())
     return [("formula", parse(ref, source="<arg>"))]
 
 
@@ -150,7 +151,28 @@ def _parse_ground_action(text: str, model: Model) -> GroundAction:
 
 
 def _decimal_comment(value: Fraction) -> str:
-    return f"  -- = {float(value):.6g} (approx)"
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = 0.0  # like an underflow, left to _six_digits
+    text = f"{approx:.6g}" if approx or not value else _six_digits(value)
+    return f"  -- = {text} (approx)"
+
+
+def _six_digits(value: Fraction) -> str:
+    """A positive value beyond the float range, as `.6g` writes a float:
+    six significant digits, rounded half to even, in exponent notation."""
+    # within one of the decimal exponent of value, from its binary one
+    exp = (value.numerator.bit_length() - value.denominator.bit_length()) * 30103 // 100000
+    while value >= Fraction(10) ** (exp + 1):
+        exp += 1
+    while value < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(value / Fraction(10) ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = digits // 10, exp + 1
+    mantissa = f"{digits // 10**5}.{digits % 10**5:05d}".rstrip("0").rstrip(".")
+    return f"{mantissa}e{exp:+03d}"
 
 
 def _rational_text(value: Fraction, decimal: bool) -> str:
@@ -178,7 +200,7 @@ def _comparison_line(report: CheckReport, expr: Expr, decimal: bool) -> str | No
 
 
 def _witness_lines(witness: dict) -> list[str]:
-    lines = [f"witness: state {witness.get('state', '?')}"]
+    lines = [f"witness: state {witness['state']}" if "state" in witness else "witness:"]
     for key in ("from_state", "prop", "event", "measure", "probability"):
         if key in witness:
             lines.append(f"  {key.replace('_', ' ')}: {witness[key]}")
@@ -294,7 +316,8 @@ def cmd_check(args) -> int:
 
 def cmd_entail(args) -> int:
     models = [_load_model(path) for path in args.model]
-    theory_defs = parse_formula_file(_read(Path(args.theory)), source=args.theory)
+    # every axiom is parsed, in file order, before the conclusion is read
+    theory_defs = dict(parse_formula_file(_read(Path(args.theory)), source=args.theory))
     theory = Theory(Path(args.theory).stem, theory_defs)
     conclusion = _load_one_formula(args.conclusion, "--conclusion")
     for model in models:
@@ -319,7 +342,7 @@ def cmd_independent(args) -> int:
     b = _parse_ground_action(args.action_b, model)
     props = None
     if args.props:
-        defs = parse_formula_file(_read(Path(args.props)), source=args.props)
+        defs = dict(parse_formula_file(_read(Path(args.props)), source=args.props))
         for name, expr in defs.items():
             _typecheck(model, name, expr)
         props = list(defs.values())
@@ -348,8 +371,9 @@ def cmd_translate(args) -> int:
 
 def cmd_adequacy(args) -> int:
     space = parse_space(_read(Path(args.space)), source=args.space)
-    with _named(args.space):
-        report = check_adequacy(space, depth=args.depth, max_events=args.max_events)
+    with _named(args.space):  # the space's own faults name its file, an option's do not
+        model = translate_space(space)
+    report = check_adequacy(space, depth=args.depth, max_events=args.max_events, model=model)
     if args.json:
         _emit_json(report.to_dict())
     else:
@@ -398,7 +422,7 @@ def cmd_corpus(args) -> int:
         return EXIT_USAGE
 
     models: dict[str, Model] = {}
-    formulas: dict[str, dict[str, Expr]] = {}
+    formulas: dict[str, Mapping[str, Expr]] = {}
     counts: dict[str, list[int]] = {}
     failures = 0
     for lineno, tag, model_file, formula_ref, state_field, expect in rows:

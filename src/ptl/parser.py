@@ -36,6 +36,7 @@ per token class.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -431,10 +432,40 @@ def parse_rational(text: str, span: SourceSpan | None = None) -> Fraction:
 _DEF = re.compile(rf"^def\s+({NAME.pattern})\s*:=\s*(.*)$")
 
 
-def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
+class _Definitions(Mapping):
+    """A formula file's definitions in file order. A body is parsed and
+    desugared when it is first read, and the result is kept."""
+
+    def __init__(self, source: str, bodies: dict[str, tuple[str, int, int]]):
+        self._source = source
+        self._bodies = bodies  # name -> (text, line, column)
+        self._parsed: dict[str, Expr] = {}
+
+    def __getitem__(self, name: str) -> Expr:
+        if name not in self._parsed:
+            text, line, column = self._bodies[name]
+            self._parsed[name] = parse(text, self._source, line, column)
+        return self._parsed[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._bodies
+
+    def __iter__(self):
+        return iter(self._bodies)
+
+    def __len__(self) -> int:
+        return len(self._bodies)
+
+
+def parse_formula_file(text: str, source: str = "<defs>") -> Mapping[str, Expr]:
     """A .ptl file: named formulas, one `def name := formula` per group.
-    A formula may continue over following lines until the next def."""
-    defs: dict[str, Expr] = {}
+    A formula may continue over following lines until the next def.
+
+    The line scan is eager: a duplicate def, a line before the first def
+    and a file without defs raise here. A body is parsed only when it is
+    read, so a syntax error in one definition surfaces when that one, or
+    the whole mapping in file order, is read."""
+    bodies: dict[str, tuple[str, int, int]] = {}
     current: str | None = None
     body: list[str] = []
     start = (0, 1)  # the line and column of the current def's formula
@@ -442,9 +473,9 @@ def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
     def flush() -> None:
         if current is None:
             return
-        if current in defs:
+        if current in bodies:
             raise ParseError(f"duplicate def '{current}'", SourceSpan(source, start[0], 1))
-        defs[current] = parse("\n".join(body), source, *start)
+        bodies[current] = ("\n".join(body), *start)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = strip_comment(raw)
@@ -461,9 +492,9 @@ def parse_formula_file(text: str, source: str = "<defs>") -> dict[str, Expr]:
         elif current is not None:
             body.append("")
     flush()
-    if not defs:
+    if not bodies:
         raise ParseError("no definitions found", SourceSpan(source, 1, 1))
-    return defs
+    return _Definitions(source, bodies)
 
 
 def strip_comment(line: str) -> str:

@@ -142,6 +142,39 @@ def test_eval_decimal_comment(capsys):
     assert out.strip() == "1/2  -- = 0.5 (approx)"
 
 
+@pytest.mark.parametrize(
+    "formula, approx",
+    [
+        ("1" + "0" * 400, "1e+400"),
+        ("1/1" + "0" * 400, "1e-400"),
+        # 2^1100 and 2^-1100 from an 1100-step Q on a 1/2 loop
+        ("1 / Q[" + "; ".join(["a"] * 1100) + "](p)", "1.3583e+331"),
+        ("Q[" + "; ".join(["a"] * 1100) + "](p)", "7.36215e-332"),
+    ],
+    ids=["large", "small", "large-q", "small-q"],
+)
+def test_decimal_comment_outside_the_float_range(capsys, tmp_path, formula, approx):
+    model = tmp_path / "loop.ptlm"
+    model.write_text(
+        "model loop\nstates s0 s1\ninitial s0\nactions\n  a : action\n"
+        "types\n  p : prop\ntransitions\n  s0 --a--> s0 @ 1/2\n  s0 --a--> s1 @ 1/2\n"
+        "  s1 --a--> s1 @ 1\nvaluation\n  s0 : p\n"
+    )
+    code, out, err = run(capsys, "eval", str(model), formula, "--decimal")
+    assert (code, err) == (0, "")
+    assert out.endswith(f"  -- = {approx} (approx)\n")
+
+
+def test_decimal_comment_of_a_comparison_outside_the_float_range(capsys):
+    tiny = "1/1" + "0" * 400
+    code, out, err = run(capsys, "check", corpus_path("coin.ptlm"),
+                         f"{tiny} < Q[toss(c)](heads(c))", "--decimal")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == (
+        f"  {tiny} < 1/2 = Q[toss(c)](heads(c))  -- = 1e-400 (approx)"
+    )
+
+
 def test_eval_formula_file_labels_every_definition(capsys):
     code, out, _ = run(
         capsys, "eval", corpus_path("twotoss.ptlm"), corpus_path("twotoss.ptl")
@@ -214,6 +247,39 @@ def test_a_missing_formula_file_is_reported_by_name(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: [Errno 2] No such file or directory: 'missing.ptl'\n"
+
+
+BROKEN_DEFS = (
+    "def ok := Q[toss(c)](heads(c)) = 1/2\n"
+    "def typo := heads(zz)\n"
+    "def bad :=\n  heads(c) /\\\n"
+)
+
+
+def test_a_definition_checks_while_another_does_not_parse(capsys, tmp_path):
+    path = tmp_path / "f.ptl"
+    path.write_text(BROKEN_DEFS)
+    code, out, err = run(capsys, "check", corpus_path("coin.ptlm"), f"{path}#ok")
+    assert (code, out, err) == (0, "ok: satisfied\n  Q[toss(c)](heads(c)) = 1/2 = 1/2\n", "")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", corpus_path("coin.ptlm"), "{path}"],
+        ["eval", corpus_path("coin.ptlm"), "{path}"],
+        ["entail", corpus_path("coin.ptlm"), "--theory", "{path}", "--conclusion", "missing.ptl"],
+        ["independent", corpus_path("coin.ptlm"), "toss(c)", "toss(c)", "--props", "{path}"],
+    ],
+    ids=["check", "eval", "entail", "independent"],
+)
+def test_whole_file_commands_report_the_first_parse_error(capsys, tmp_path, command):
+    # every body parses before any typechecks, so bad's syntax error
+    # comes before typo's unbound symbol
+    path = tmp_path / "f.ptl"
+    path.write_text(BROKEN_DEFS)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in command))
+    assert (code, out, err) == (2, "", f"error: {path}:4:14: unexpected token ''\n")
 
 
 def test_nesting_past_the_parsers_limit_is_one_line_exit_2(capsys):
@@ -468,7 +534,7 @@ def test_adequacy_prints_the_witness_of_a_wrong_probability(capsys, wrong_probab
     assert (code, err) == (1, "")
     assert out == (
         "die: violated (29 events checked)\n"
-        "  witness: state ?\n"
+        "  witness:\n"
         "    event: ~ (one \\/ two)\n"
         "    measure: 2/3\n"
         "    probability: 17/21\n"
@@ -498,8 +564,9 @@ def test_keyword_named_outcomes_check_and_translate(capsys, tmp_path):
     ids=["negative-cap", "zero-cap", "negative-depth"],
 )
 def test_adequacy_rejects_bad_caps(capsys, option, value, message):
+    # an option's error does not name the space file
     path = corpus_path("die.pspace")
-    assert run(capsys, "adequacy", path, option, value) == (2, "", f"error: {path}: {message}\n")
+    assert run(capsys, "adequacy", path, option, value) == (2, "", f"error: {message}\n")
 
 
 def test_adequacy_rejects_bad_space(capsys, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, corpus_text
 
-from ptl import parse, parse_formula, parse_formula_file, parse_model, validate_model
+from ptl import parse, parse_formula, parse_formula_file, parse_model, parser, validate_model
 from ptl.errors import ParseError
 from ptl.evaluator import describe
 from ptl.model import serialize_model
@@ -399,8 +399,9 @@ def test_tokens_start_at_the_given_line_and_column():
     ids=["comment", "continued"],
 )
 def test_formula_file_errors_name_the_line_and_column(text, where):
+    # a body is parsed when it is read; reading them all meets its error
     with pytest.raises(ParseError, match=f"^{where}: "):
-        parse_formula_file(text, source="defs")
+        dict(parse_formula_file(text, source="defs"))
 
 
 def test_formula_file_rejects_duplicates_and_empty():
@@ -408,6 +409,45 @@ def test_formula_file_rejects_duplicates_and_empty():
         parse_formula_file("def a := p\ndef a := q\n", source="dup")
     with pytest.raises(ParseError):
         parse_formula_file("-- nothing here\n", source="empty")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("def a := p /\\\ndef a := q\n", "dup:2:1: duplicate def 'a'"),
+        ("p\ndef a := q /\\\n", "before:1:1: expected 'def name := formula'"),
+        ("-- a note\n\n", "empty:1:1: no definitions found"),
+    ],
+    ids=["duplicate", "line-before-def", "empty"],
+)
+def test_formula_file_scan_errors_raise_at_the_call(text, where):
+    # raised by the line scan, before any body (here a broken one) is read
+    source = where.partition(":")[0]
+    with pytest.raises(ParseError, match=f"^{where}$"):
+        parse_formula_file(text, source=source)
+
+
+def test_formula_file_parses_a_body_once_when_it_is_read(monkeypatch):
+    parsed = []
+    real = parser.parse
+
+    def counting_parse(text, *args):
+        parsed.append(text)
+        return real(text, *args)
+
+    monkeypatch.setattr(parser, "parse", counting_parse)
+    defs = parse_formula_file("def a := p\ndef b := q /\\\n  r\ndef c := (\n", source="f")
+    assert (parsed, list(defs), len(defs), "c" in defs, "d" in defs) == (
+        [], ["a", "b", "c"], 3, True, False,
+    )
+    first = defs["b"]
+    assert parsed == ["q /\\\n  r"]
+    assert defs["b"] is first and parsed == ["q /\\\n  r"]
+    assert first == parse("q /\\ r")
+    with pytest.raises(KeyError):
+        defs["d"]
+    with pytest.raises(ParseError, match="^f:4:11: "):
+        defs["c"]
 
 
 # ---------- round-trips (every corpus formula and model) ----------
