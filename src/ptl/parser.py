@@ -447,7 +447,7 @@ class _Definitions(Mapping):
             self._parsed[name] = parse(text, self._source, line, column)
         return self._parsed[name]
 
-    def __contains__(self, name: object) -> bool:
+    def __contains__(self, name: object) -> bool:  # Mapping's own would parse the body
         return name in self._bodies
 
     def __iter__(self):
